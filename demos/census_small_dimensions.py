@@ -8,25 +8,30 @@ smallest dimension where it is nonempty.
 Run:  python demos/census_small_dimensions.py
 """
 
-from realbott import CSV_HEADER, CensusConfig, is_kahler, parse_bott, run_census
+from realbott import CSV_HEADER, CensusConfig, analyze, is_kahler, parse_bott, run_census
 
 
 def main() -> None:
     print(CSV_HEADER)
     for n in range(1, 7):
-        row, _ = run_census(CensusConfig(n=n, workers=2))
+        # the census lists every matrix on request; the last listing (n = 6)
+        # is filtered below
+        row, listing = run_census(CensusConfig(n=n, emit_matrices=n == 6, workers=2))
         print(row.to_csv())
     print()
 
-    cfg = CensusConfig(n=6, emit_matrices=True, kahler=True, spin=False)
-    _, lines = run_census(cfg)
-    print(f"Kahler but not Spin at n = 6: {len(lines)} matrices")
-    for line in lines[:5]:
-        pairing = is_kahler(parse_bott(line))
+    not_spin = []
+    for line in listing:
+        a = parse_bott(line)
+        pairing = is_kahler(a)  # cheap column test first, analyze only on a pairing
+        if pairing is not None and not analyze(a).spin:
+            not_spin.append((line, pairing))
+    print(f"Kahler but not Spin at n = 6: {len(not_spin)} matrices")
+    for line, pairing in not_spin[:5]:
         pairs = " ".join(f"({i + 1},{j + 1})" for i, j in pairing.pairs)
         print(f"  {line}   pairs {pairs}")
-    if len(lines) > 5:
-        print(f"  ... and {len(lines) - 5} more")
+    if len(not_spin) > 5:
+        print(f"  ... and {len(not_spin) - 5} more")
 
 
 if __name__ == "__main__":

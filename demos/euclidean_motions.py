@@ -19,7 +19,6 @@ from realbott import (
     free_at_subset,
     generators,
     parse_bott,
-    square,
 )
 
 KLEIN = "0 1 / 0 0"
@@ -44,7 +43,7 @@ def main() -> None:
 
     print("Squares are unit translations (the lattice inside the group):")
     for i, s in enumerate(gens, start=1):
-        print(f"s_{i}^2: {describe(square(s))}")
+        print(f"s_{i}^2: {describe(s.square())}")
     print()
 
     g = element_of(a, [0, 1])

@@ -17,8 +17,8 @@ from realbott import (
     analyze,
     is_kahler,
     parse_bott,
-    spin_general,
     spin_kahler_closed_form,
+    spin_membership,
 )
 
 NOT_SPIN = """
@@ -62,7 +62,7 @@ def show(label: str, text: str) -> None:
     else:
         print("Every odd-S row has a zero column -> Spin.")
 
-    spin_gen, w1, w2 = spin_general(a)
+    spin_gen, w1, w2 = spin_membership(a)
     print(f"General decider: w1 = {w1}, raw w2 = {w2}, spin = {spin_gen}")
     assert spin_cf == spin_gen
 

@@ -30,7 +30,6 @@ S_i is even or column i of A is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -44,7 +43,6 @@ from .f2poly import (
 )
 
 __all__ = [
-    "DElement",
     "BottMatrix",
     "PMatrix",
     "IdealDegree2Basis",
@@ -80,43 +78,9 @@ class InconsistencyError(RuntimeError):
     """Two routes that must agree disagreed; always an implementation bug."""
 
 
+# alpha and beta of the four circle automorphisms 0..3 (see above)
 _ALPHA = (0, 1, 1, 0)
 _BETA = (0, 1, 0, 1)
-
-
-class DElement(IntEnum):
-    """The four circle automorphisms, closed under composition.
-
-    Composition is XOR of the (alpha, beta) pairs, so every element is
-    an involution and HALF_TURN * CONJUGATION == NEG_CONJUGATION.
-    """
-
-    IDENTITY = 0  # z -> z
-    HALF_TURN = 1  # z -> -z, i.e. t -> t + 1/2 on R/Z
-    CONJUGATION = 2  # z -> conj(z), i.e. t -> -t
-    NEG_CONJUGATION = 3  # z -> -conj(z), i.e. t -> -t + 1/2
-
-    @property
-    def alpha(self) -> int:
-        return _ALPHA[self]
-
-    @property
-    def beta(self) -> int:
-        return _BETA[self]
-
-    def compose(self, other: DElement) -> DElement:
-        pair = (self.alpha ^ other.alpha, self.beta ^ other.beta)
-        return _FROM_PAIR[pair]
-
-    def __mul__(self, other):  # type: ignore[override]
-        if isinstance(other, DElement):
-            return self.compose(other)
-        return NotImplemented
-
-
-_FROM_PAIR = {
-    (_ALPHA[e], _BETA[e]): DElement(e) for e in range(4)
-}
 
 
 @dataclass(frozen=True)
@@ -447,12 +411,13 @@ def is_kahler(a: BottMatrix) -> Optional[KahlerPairing]:
     return KahlerPairing(pairs=tuple(pairs), representatives=tuple(reps))
 
 
-def spin_membership(p: PMatrix) -> tuple[bool, GradedPolyF2, GradedPolyF2]:
-    """General Spin test for any P-matrix: (verdict, w1, raw w2).
+def spin_membership(m: BottMatrix | PMatrix) -> tuple[bool, GradedPolyF2, GradedPolyF2]:
+    """General Spin test for any Bott matrix or P-matrix: (verdict, w1, raw w2).
 
     Spin requires w1 = 0 (orientability) and the raw degree-2 part of
     the Stiefel-Whitney product to lie in the span of the theta_j.
     """
+    p = bott_to_p(m) if isinstance(m, BottMatrix) else m
     w = sw_class(p, 2)
     w1 = w.graded_component(1)
     w2 = w.graded_component(2)
@@ -460,9 +425,7 @@ def spin_membership(p: PMatrix) -> tuple[bool, GradedPolyF2, GradedPolyF2]:
     return spin, w1, w2
 
 
-def spin_general(a: BottMatrix) -> tuple[bool, GradedPolyF2, GradedPolyF2]:
-    """Spin decider for any Bott matrix, Kahler or not."""
-    return spin_membership(bott_to_p(a))
+spin_general = spin_membership  # the Spin decider for any input, Kahler or not
 
 
 def _validate_pairing(a: BottMatrix, pairing: KahlerPairing) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -31,9 +31,11 @@ __all__ = [
     "run_census",
 ]
 
-CSV_HEADER = "n,total,orientable,kahler,spin,kahler_and_spin,kahler_not_spin"
-
-MAX_CELLS = 40  # size guard: 2^40 matrices is already past desk scale
+# Size guard: n = 8 has 28 free cells (2^28 = 268 million matrices), most
+# of a day on one core at the n = 6 rate of about 4,000 matrices/s; n = 9
+# (2^36) would take over six months.  Per-matrix cost grows with n, so
+# both figures are lower bounds.
+MAX_CELLS = 28
 
 
 class OracleDisagreementError(RuntimeError):
@@ -59,28 +61,26 @@ class CensusRow:
     kahler_not_spin: int
 
     def to_csv(self) -> str:
-        return (
-            f"{self.n},{self.total},{self.orientable},{self.kahler},"
-            f"{self.spin},{self.kahler_and_spin},{self.kahler_not_spin}"
-        )
+        return ",".join(str(v) for v in astuple(self))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(CensusRow))
+_COUNT_FIELDS = tuple(f.name for f in fields(CensusRow) if f.name != "n")
 
 
 @dataclass(frozen=True)
 class CensusConfig:
     """What to enumerate and how.
 
-    The orientable/kahler/spin flags filter which matrices are emitted
-    (None = don't care); counts always cover the full space.  With
+    With emit_matrices set, every matrix is listed in index order.  With
     check_oracles set, every matrix is cross-checked against the
     Euclidean-motion oracle and the two Spin deciders must agree on
     Kahler inputs; the first disagreement (smallest index) aborts the
-    run with a reproducer.
+    run with a reproducer.  run_census clamps workers to the number of
+    matrices and of usable CPUs.
     """
 
     n: int
-    orientable: Optional[bool] = None
-    kahler: Optional[bool] = None
-    spin: Optional[bool] = None
     emit_matrices: bool = False
     check_oracles: bool = False
     workers: int = 1
@@ -124,20 +124,12 @@ def enumerate_bott(n: int) -> Iterator[BottMatrix]:
         yield matrix_at(n, index)
 
 
-def _matches(cfg_flag: Optional[bool], actual: bool) -> bool:
-    return cfg_flag is None or cfg_flag is actual
-
-
-_COUNT_FIELDS = ("total", "orientable", "kahler", "spin", "kahler_and_spin", "kahler_not_spin")
-
-
 def _classify_range(
     n: int,
     start: int,
     stop: int,
     check_oracles: bool,
     emit: bool,
-    filters: tuple[Optional[bool], Optional[bool], Optional[bool]],
 ) -> tuple[dict[str, int], list[str], Optional[tuple[int, str, str]]]:
     """Classify one contiguous index range.
 
@@ -146,7 +138,6 @@ def _classify_range(
     """
     counts = dict.fromkeys(_COUNT_FIELDS, 0)
     emitted: list[str] = []
-    want_orientable, want_kahler, want_spin = filters
     for index in range(start, stop):
         a = matrix_at(n, index)
         try:
@@ -164,11 +155,7 @@ def _classify_range(
         counts["spin"] += report.spin
         counts["kahler_and_spin"] += kahler and report.spin
         counts["kahler_not_spin"] += kahler and not report.spin
-        if emit and (
-            _matches(want_orientable, report.orientable)
-            and _matches(want_kahler, kahler)
-            and _matches(want_spin, report.spin)
-        ):
+        if emit:
             emitted.append(a.to_line())
     return counts, emitted, None
 
@@ -182,17 +169,14 @@ def run_census(cfg: CensusConfig) -> tuple[CensusRow, list[str]]:
     """
     m = _check_size(cfg.n)
     total = 1 << m
-    workers = max(1, min(cfg.workers, total))
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    workers = max(1, min(cfg.workers, total, cpus))
     bounds = [(total * w) // workers for w in range(workers + 1)]
     jobs = [
-        (
-            cfg.n,
-            bounds[w],
-            bounds[w + 1],
-            cfg.check_oracles,
-            cfg.emit_matrices,
-            (cfg.orientable, cfg.kahler, cfg.spin),
-        )
+        (cfg.n, bounds[w], bounds[w + 1], cfg.check_oracles, cfg.emit_matrices)
         for w in range(workers)
         if bounds[w] < bounds[w + 1]
     ]
@@ -218,15 +202,3 @@ def run_census(cfg: CensusConfig) -> tuple[CensusRow, list[str]]:
 
 def _classify_range_star(args):
     return _classify_range(*args)
-
-
-def apply_worker_cap(requested: int) -> int:
-    """Clamp a requested worker count by the optional BOTT_THREADS env var."""
-    workers = max(1, requested)
-    cap = os.environ.get("BOTT_THREADS")
-    if cap is not None:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise ValueError(f"BOTT_THREADS must be an integer, got {cap!r}") from None
-    return workers

@@ -3,8 +3,10 @@
 Subcommands: check, ideal, sw, kahler, census, verify.  Verdicts are
 data, not errors: a non-Spin manifold still exits 0.  Exit code 2 is
 reserved for input and processing problems (unparseable files, bad
-dimensions, size guards).  The verify subcommand exits 1 when the
-oracle cross-check finds disagreements.
+dimensions, size guards).  Exit code 1 means a cross-check disagreed:
+verify on one file lists the disagreements, while verify -n and
+census --check-oracles stop at the first one and print a single error
+line with its index and serialized matrix.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
 from .bottcore import (
-    BottMatrix,
-    MatrixParseError,
+    ManifoldReport,
     PMatrix,
     analyze,
     bott_to_p,
@@ -31,13 +33,7 @@ from .bottcore import (
     is_free,
     sw_class,
 )
-from .census import (
-    CSV_HEADER,
-    CensusConfig,
-    apply_worker_cap,
-    enumerate_bott,
-    run_census,
-)
+from .census import CSV_HEADER, CensusConfig, OracleDisagreementError, run_census
 from .euclid import check_against_rows
 from .f2poly import decode_degree2
 
@@ -53,8 +49,8 @@ def _load_pmatrix(args: argparse.Namespace) -> PMatrix:
     return bott_to_p(parse_bott(text))
 
 
-def _bott_report(a: BottMatrix) -> dict:
-    rep = analyze(a)
+def _report(rep: ManifoldReport, bott: bool) -> dict:
+    """check's report; the Kahler verdict is null unless the input is a Bott matrix."""
     pairing = None
     s_vector = None
     if rep.kahler is not None:
@@ -67,30 +63,11 @@ def _bott_report(a: BottMatrix) -> dict:
         "orientable": rep.orientable,
         "w1": str(rep.w1),
         "w2": str(rep.w2raw),
-        "kahler": rep.kahler is not None,
+        "kahler": rep.kahler is not None if bott else None,
         "pairing": pairing,
         "sVector": s_vector,
         "spin": rep.spin,
         "spinMethod": "both-agree" if rep.kahler is not None else "general",
-    }
-
-
-def _pmatrix_report(p: PMatrix) -> dict:
-    # Generic P-matrix: the Kahler column test needs a Bott matrix, so
-    # those fields stay null; Spin still comes from the membership test.
-    spin, w1, w2 = spin_membership(p)
-    return {
-        "dimension": p.n,
-        "free": is_free(p),
-        "holonomyFull": has_full_holonomy(p),
-        "orientable": w1.is_zero,
-        "w1": str(w1),
-        "w2": str(w2),
-        "kahler": None,
-        "pairing": None,
-        "sVector": None,
-        "spin": spin,
-        "spinMethod": "general",
     }
 
 
@@ -118,9 +95,26 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.pmat:
         p = parse_pmatrix(text)
         a = pmatrix_to_bott(p)
-        report = _bott_report(a) if a is not None else _pmatrix_report(p)
     else:
-        report = _bott_report(parse_bott(text))
+        a = parse_bott(text)
+    if a is not None:
+        report = _report(analyze(a), bott=True)
+    else:
+        # Generic P-matrix: the Kahler column test needs a Bott matrix, so
+        # those fields stay null; Spin still comes from the membership test.
+        spin, w1, w2 = spin_membership(p)
+        rep = ManifoldReport(
+            n=p.n,
+            free=is_free(p),
+            holonomy_full=has_full_holonomy(p),
+            w1=w1,
+            orientable=w1.is_zero,
+            kahler=None,
+            w2raw=w2,
+            spin=spin,
+            s_vector=None,
+        )
+        report = _report(rep, bott=False)
     _print_report(report, args.json)
     return 0
 
@@ -167,20 +161,17 @@ def _cmd_census(args: argparse.Namespace) -> int:
         n=args.n,
         emit_matrices=args.emit,
         check_oracles=args.check_oracles,
-        workers=apply_worker_cap(args.workers),
+        workers=args.workers,
     )
     row, emitted = run_census(cfg)
     if args.csv:
         print(CSV_HEADER)
         print(row.to_csv())
     else:
-        print(f"n               {row.n}")
-        print(f"total           {row.total}")
-        print(f"orientable      {row.orientable}")
-        print(f"kahler          {row.kahler}")
-        print(f"spin            {row.spin}")
-        print(f"kahler_and_spin {row.kahler_and_spin}")
-        print(f"kahler_not_spin {row.kahler_not_spin}")
+        names = [f.name for f in fields(row)]
+        width = max(len(name) for name in names)
+        for name in names:
+            print(f"{name:<{width}} {getattr(row, name)}")
     for line in emitted:
         print(line)
     return 0
@@ -188,14 +179,13 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.n is not None:
-        matrices = enumerate_bott(args.n)
+        # The census driver stops at the first disagreement by raising
+        # OracleDisagreementError, so a finished run found none.
+        total = run_census(CensusConfig(n=args.n, check_oracles=True))[0].total
+        problems: list[str] = []
     else:
-        matrices = iter([parse_bott(_read(args.path))])
-    total = 0
-    problems: list[str] = []
-    for a in matrices:
-        total += 1
-        problems.extend(check_against_rows(a))
+        total = 1
+        problems = check_against_rows(parse_bott(_read(args.path)))
     noun = "matrix" if total == 1 else "matrices"
     print(f"{total} {noun}, {len(problems)} disagreements")
     for msg in problems:
@@ -253,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="parallel workers (BOTT_THREADS caps this)",
+        help="parallel workers, at most one per usable CPU",
     )
 
     verify = sub.add_parser("verify", help="oracle cross-check report")
@@ -274,13 +264,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MatrixParseError as exc:
+    except OracleDisagreementError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return 1
+    except (OSError, ValueError) as exc:  # MatrixParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

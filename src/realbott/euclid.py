@@ -20,8 +20,6 @@ from .bottcore import BottMatrix, bott_to_p, cocycles, free_at_subset
 
 __all__ = [
     "EuclideanMotion",
-    "compose",
-    "square",
     "generators",
     "element_of",
     "acts_freely",
@@ -64,19 +62,20 @@ class EuclideanMotion:
     def square(self) -> EuclideanMotion:
         return self.compose(self)
 
+    def has_no_fixed_point(self) -> bool:
+        """Whether the induced torus map x -> D x + t has no fixed point.
+
+        That happens exactly when some coordinate keeps sign +1 but is
+        shifted by an odd half-step: then D x + t + z = x has no integer
+        solution z.
+        """
+        return any(s == 1 and t2 % 2 == 1 for s, t2 in zip(self.signs, self.trans2))
+
     def inverse(self) -> EuclideanMotion:
         # D^-1 = D for diagonal signs, so g^-1 = (D, -D t)
         return EuclideanMotion(
             self.signs, tuple(-s * t2 for s, t2 in zip(self.signs, self.trans2))
         )
-
-
-def compose(g: EuclideanMotion, h: EuclideanMotion) -> EuclideanMotion:
-    return g.compose(h)
-
-
-def square(g: EuclideanMotion) -> EuclideanMotion:
-    return g.square()
 
 
 def generators(a: BottMatrix) -> tuple[EuclideanMotion, ...]:
@@ -107,17 +106,11 @@ def element_of(a: BottMatrix, subset: Iterable[int]) -> EuclideanMotion:
 
 
 def acts_freely(a: BottMatrix, subset: Iterable[int]) -> bool:
-    """Fixed-point oracle for one nonempty generator subset.
-
-    The induced torus map D x + t has no fixed point exactly when some
-    coordinate keeps sign +1 but is shifted by an odd half-step: then
-    D x + t + z = x has no integer solution z.
-    """
+    """Fixed-point oracle for one nonempty generator subset."""
     chosen = sorted(set(subset))
     if not chosen:
         raise ValueError("subset must be nonempty")
-    g = element_of(a, chosen)
-    return any(s == 1 and t2 % 2 == 1 for s, t2 in zip(g.signs, g.trans2))
+    return element_of(a, chosen).has_no_fixed_point()
 
 
 def holonomy_matrix(a: BottMatrix, subset: Iterable[int]) -> tuple[int, ...]:
@@ -152,9 +145,7 @@ def check_against_rows(a: BottMatrix) -> list[str]:
                 f"motion {g.signs}, cocycle {predicted}"
             )
         if mask:
-            free_euclid = any(
-                s == 1 and t2 % 2 == 1 for s, t2 in zip(g.signs, g.trans2)
-            )
+            free_euclid = g.has_no_fixed_point()
             free_rows = free_at_subset(p, mask)
             if free_euclid != free_rows:
                 problems.append(

@@ -285,9 +285,6 @@ class F2Matrix:
             reduced.append(prow)
         return F2Matrix(reduced, self.ncols)
 
-    def rank(self) -> int:
-        return self._echelon_or_reduce().nrows
-
     def _is_echelon(self) -> bool:
         last = -1
         for r in self.rows:
@@ -321,13 +318,6 @@ class F2Matrix:
 
     def __hash__(self) -> int:
         return hash((self.ncols, self.rows))
-
-    def row_strings(self) -> list[str]:
-        """Rows as 0/1 strings, column 0 leftmost."""
-        return [
-            "".join("1" if (r >> c) & 1 else "0" for c in range(self.ncols))
-            for r in self.rows
-        ]
 
     def __repr__(self) -> str:
         return f"F2Matrix({list(self.rows)!r}, ncols={self.ncols})"

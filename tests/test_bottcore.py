@@ -6,7 +6,6 @@ import pytest
 
 from realbott import (
     BottMatrix,
-    DElement,
     GradedPolyF2,
     InconsistencyError,
     KahlerPairing,
@@ -44,25 +43,6 @@ def theta_formula(a: BottMatrix, j: int) -> GradedPolyF2:
         if a.rows[i][j]:
             terms.append(tuple(1 if k in (i, j) else 0 for k in range(n)))
     return GradedPolyF2(n, terms)
-
-
-class TestDElement:
-    def test_pair_table(self):
-        assert [e.alpha for e in DElement] == [0, 1, 1, 0]
-        assert [e.beta for e in DElement] == [0, 1, 0, 1]
-
-    def test_product_is_pair_xor(self):
-        for a, b in itertools.product(DElement, repeat=2):
-            c = a * b
-            assert c.alpha == a.alpha ^ b.alpha
-            assert c.beta == a.beta ^ b.beta
-
-    def test_half_turn_times_conjugation(self):
-        assert DElement.HALF_TURN * DElement.CONJUGATION == DElement.NEG_CONJUGATION
-
-    def test_involutions(self):
-        for e in DElement:
-            assert e * e == DElement.IDENTITY
 
 
 class TestParsing:
@@ -322,6 +302,12 @@ class TestSpin:
         assert not spin
         assert w1.is_zero
         assert str(w2) == "x3^2 + x4^2"
+
+    def test_membership_accepts_bott_or_p(self):
+        assert spin_general is spin_membership
+        for n in (1, 2, 3, 4):
+            for a in enumerate_bott(n):
+                assert spin_membership(a) == spin_membership(bott_to_p(a))
 
     def test_torus_spin(self):
         for n in (1, 2, 3, 4, 6):

@@ -14,7 +14,8 @@ from realbott import (
     parse_bott,
     run_census,
 )
-from realbott.census import apply_worker_cap, cell_count
+import realbott.census as census_mod
+from realbott.census import _classify_range, cell_count
 
 
 class TestEnumeration:
@@ -46,7 +47,9 @@ class TestEnumeration:
             matrix_at(2, -1)
 
     def test_size_guard(self):
-        assert cell_count(9) == 36  # still allowed
+        assert matrix_at(8, 2**28 - 1).rows[0] == (0,) + (1,) * 7  # n = 8 allowed
+        with pytest.raises(ValueError, match="size guard"):
+            matrix_at(9, 0)
         with pytest.raises(ValueError, match="size guard"):
             list(enumerate_bott(10))
         with pytest.raises(ValueError):
@@ -86,12 +89,33 @@ class TestRunCensus:
             assert parse_bott(line) == matrix_at(3, index)
 
     def test_emit_filtered(self):
-        _, emitted = run_census(
-            CensusConfig(n=4, emit_matrices=True, spin=True, kahler=True)
-        )
-        for line in emitted:
-            rep = analyze(parse_bott(line))
-            assert rep.spin and rep.kahler is not None
+        # the caller filters the full listing; the filtered count must
+        # match the census count
+        row, emitted = run_census(CensusConfig(n=4, emit_matrices=True))
+        reports = [analyze(parse_bott(line)) for line in emitted]
+        kahler_spin = [r for r in reports if r.spin and r.kahler is not None]
+        assert len(emitted) == row.total
+        assert len(kahler_spin) == row.kahler_and_spin == 6
+
+    def test_chunk_sums_match_single_range(self):
+        # run_census adds per-chunk counts and concatenates per-chunk
+        # listings; any contiguous split must give the same row and order
+        n, total = 4, 1 << cell_count(4)
+        results = {}
+        for chunks in (1, 3, 8):
+            bounds = [(total * c) // chunks for c in range(chunks + 1)]
+            counts = dict.fromkeys(census_mod._COUNT_FIELDS, 0)
+            emitted = []
+            for start, stop in zip(bounds, bounds[1:]):
+                part, lines, offender = _classify_range(n, start, stop, False, True)
+                assert offender is None
+                for key, value in part.items():
+                    counts[key] += value
+                emitted.extend(lines)
+            results[chunks] = (CensusRow(n=n, **counts), emitted)
+        assert results[1] == results[3] == results[8]
+        assert results[1][0] == run_census(CensusConfig(n=4))[0]
+        assert results[1][1] == [matrix_at(4, i).to_line() for i in range(total)]
 
     def test_emit_order_stable_across_workers(self):
         _, serial = run_census(CensusConfig(n=4, emit_matrices=True))
@@ -132,17 +156,50 @@ class TestDisagreementAbort:
 
 
 class TestWorkerCap:
-    def test_cap_applies(self, monkeypatch):
-        monkeypatch.setenv("BOTT_THREADS", "2")
-        assert apply_worker_cap(8) == 2
-        assert apply_worker_cap(1) == 1
+    """run_census never asks for more workers than usable CPUs or matrices.
 
-    def test_no_cap(self, monkeypatch):
-        monkeypatch.delenv("BOTT_THREADS", raising=False)
-        assert apply_worker_cap(8) == 8
-        assert apply_worker_cap(0) == 1
+    The pool is faked, so no test here starts a process.
+    """
 
-    def test_bad_cap(self, monkeypatch):
-        monkeypatch.setenv("BOTT_THREADS", "lots")
-        with pytest.raises(ValueError):
-            apply_worker_cap(4)
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(census_mod, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_cap_applies(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        row, _ = run_census(CensusConfig(n=4, workers=10_000))
+        assert pool_sizes == [3]
+        assert row == run_census(CensusConfig(n=4))[0]
+        run_census(CensusConfig(n=2, workers=10_000))  # 2 matrices
+        assert pool_sizes == [3, 2]
+
+    def test_no_cap(self, monkeypatch, pool_sizes):
+        # without CPU affinity the clamp falls back to os.cpu_count()
+        monkeypatch.delattr(census_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(census_mod.os, "cpu_count", lambda: 4)
+        run_census(CensusConfig(n=4, workers=2))
+        run_census(CensusConfig(n=4, workers=64))
+        assert pool_sizes == [2, 4]
+
+    def test_bad_cap(self, monkeypatch, pool_sizes):
+        # a nonpositive request, or a single usable CPU, runs in-process
+        monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: {0})
+        run_census(CensusConfig(n=4, workers=8))
+        run_census(CensusConfig(n=4, workers=0))
+        assert pool_sizes == []

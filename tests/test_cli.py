@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from realbott import matrix_at, parse_bott
+import realbott.census as census_mod
+from realbott import InconsistencyError, matrix_at, parse_bott
 from realbott.cli import main
 
 from conftest import KLEIN_TEXT, SIXDIM_BOTT_TEXT, SIXDIM_P_TEXT
@@ -95,6 +96,19 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(tmp_path / "nope.txt"))
         assert code == 2
         assert "error" in err
+
+    def test_json_field_order(self, capsys, sixdim_bott_file, tmp_path):
+        # the README's order, on the Bott path and the general P-matrix path
+        order = [
+            "dimension", "free", "holonomyFull", "orientable", "w1", "w2",
+            "kahler", "pairing", "sVector", "spin", "spinMethod",
+        ]
+        generic = tmp_path / "p.txt"
+        generic.write_text("1 2 3\n0 1 2\n")
+        for argv in ([sixdim_bott_file], [str(generic), "--pmat"]):
+            code, out, _ = run(capsys, "check", "--json", *argv)
+            assert code == 0
+            assert list(json.loads(out)) == order
 
     def test_json_stable_across_runs(self, capsys, sixdim_bott_file):
         _, first, _ = run(capsys, "check", sixdim_bott_file, "--json")
@@ -220,3 +234,32 @@ class TestVerify:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify"])
         assert excinfo.value.code == 2
+
+
+class TestOracleFailure:
+    """A disagreement ends census --check-oracles and verify -n with one
+    error line carrying the index and the serialized matrix, exit 1."""
+
+    @pytest.fixture
+    def sabotaged(self, monkeypatch):
+        bad = matrix_at(3, 5)
+        real_analyze = census_mod.analyze
+
+        def analyze(a):
+            if a == bad:
+                raise InconsistencyError("injected disagreement")
+            return real_analyze(a)
+
+        monkeypatch.setattr(census_mod, "analyze", analyze)
+        return bad.to_line()
+
+    @pytest.mark.parametrize(
+        "argv", [["census", "-n", "3", "--check-oracles"], ["verify", "-n", "3"]]
+    )
+    def test_error_line_exit_1(self, capsys, sabotaged, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: oracle disagreement at index 5 ({sabotaged}): injected disagreement"
+        ]

@@ -10,14 +10,12 @@ from realbott import (
     bott_to_p,
     check_against_rows,
     cocycles,
-    compose,
     element_of,
     enumerate_bott,
     free_at_subset,
     generators,
     holonomy_matrix,
     parse_bott,
-    square,
 )
 
 from conftest import SIXDIM_BOTT_TEXT, zero_bott
@@ -33,22 +31,28 @@ class TestEuclideanMotion:
     def test_compose_with_identity(self):
         g = EuclideanMotion((1, -1), (1, 3))
         e = EuclideanMotion.identity(2)
-        assert compose(g, e) == g
-        assert compose(e, g) == g
+        assert g.compose(e) == g
+        assert e.compose(g) == g
 
     def test_compose_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            compose(EuclideanMotion.identity(2), EuclideanMotion.identity(3))
+            EuclideanMotion.identity(2).compose(EuclideanMotion.identity(3))
 
     def test_square_of_glide(self):
         # half-step along coordinate 1 with a flip of coordinate 2
         g = EuclideanMotion((1, -1), (1, 0))
-        assert square(g) == EuclideanMotion((1, 1), (2, 0))
+        assert g.square() == EuclideanMotion((1, 1), (2, 0))
+
+    def test_fixed_point_parity(self):
+        # free iff some coordinate keeps sign +1 under an odd half-step
+        assert EuclideanMotion((1, -1), (1, 0)).has_no_fixed_point()
+        assert not EuclideanMotion((-1, 1), (1, 2)).has_no_fixed_point()
+        assert not EuclideanMotion.identity(3).has_no_fixed_point()
 
     def test_inverse(self):
         g = EuclideanMotion((1, -1), (1, 3))
-        assert compose(g, g.inverse()) == EuclideanMotion.identity(2)
-        assert compose(g.inverse(), g) == EuclideanMotion.identity(2)
+        assert g.compose(g.inverse()) == EuclideanMotion.identity(2)
+        assert g.inverse().compose(g) == EuclideanMotion.identity(2)
 
 
 class TestGenerators:
@@ -67,13 +71,13 @@ class TestGenerators:
             expected = EuclideanMotion(
                 (1,) * 6, tuple(2 if j == i else 0 for j in range(6))
             )
-            assert square(s) == expected
+            assert s.square() == expected
 
     def test_squares_exhaustive_small_n(self):
         for n in (1, 2, 3):
             for a in enumerate_bott(n):
                 for i, s in enumerate(generators(a)):
-                    sq = square(s)
+                    sq = s.square()
                     assert sq.signs == (1,) * n
                     assert sq.trans2 == tuple(2 if j == i else 0 for j in range(n))
 
@@ -165,11 +169,11 @@ class TestGroupLaws:
     @given(motion_triples())
     def test_associative(self, triple):
         g, h, k = triple
-        assert compose(compose(g, h), k) == compose(g, compose(h, k))
+        assert g.compose(h).compose(k) == g.compose(h.compose(k))
 
     @given(motions())
     def test_identity_neutral(self, g):
         e = EuclideanMotion.identity(g.dim)
-        assert compose(g, e) == g
-        assert compose(e, g) == g
-        assert compose(g, g.inverse()) == e
+        assert g.compose(e) == g
+        assert e.compose(g) == g
+        assert g.compose(g.inverse()) == e
