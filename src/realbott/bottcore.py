@@ -66,6 +66,8 @@ __all__ = [
     "spin_general",
     "spin_kahler_closed_form",
     "analyze",
+    "bott_verdicts",
+    "mask_line",
     "identical_columns_matrix",
 ]
 
@@ -119,12 +121,22 @@ class BottMatrix:
     def row_parity(self, i: int) -> int:
         return sum(self.rows[i]) & 1
 
+    @cached_property
+    def row_masks(self) -> tuple[int, ...]:
+        """Per row i, bit j = a_ij: the input of bott_verdicts."""
+        return tuple(sum(e << j for j, e in enumerate(row)) for row in self.rows)
+
     def to_line(self) -> str:
         """Serialize row-major as 0/1 digits with rows joined by '/'."""
-        return "/".join("".join(str(e) for e in row) for row in self.rows)
+        return mask_line(self.n, self.row_masks)
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
+
+
+def mask_line(n: int, rows: Sequence[int]) -> str:
+    """BottMatrix.to_line of the matrix whose row i has bit j = a_ij."""
+    return "/".join(format(r, f"0{n}b")[::-1] for r in rows)
 
 
 @dataclass(frozen=True)
@@ -491,15 +503,14 @@ class ManifoldReport:
 
 
 def analyze(a: BottMatrix) -> ManifoldReport:
-    """Run every decider on one Bott matrix.
+    """Run every decider on one Bott matrix by the polynomial route.
 
-    On Kahler inputs the closed-form Spin verdict is cross-checked
-    against the ideal-membership verdict; a mismatch can only mean an
-    implementation bug and raises InconsistencyError.
+    This is the slow reference twin of bott_verdicts.  On Kahler inputs
+    the closed-form Spin verdict is cross-checked against the
+    ideal-membership verdict; a mismatch can only mean an implementation
+    bug and raises InconsistencyError.
     """
     p = bott_to_p(a)
-    free = is_free(p)
-    holonomy_full = has_full_holonomy(p)
     spin, w1, w2raw = spin_membership(p)
     orientable = w1.is_zero
     pairing = is_kahler(a)
@@ -520,8 +531,13 @@ def analyze(a: BottMatrix) -> ManifoldReport:
         raise InconsistencyError(f"Spin without orientability on {a.to_line()}")
     return ManifoldReport(
         n=a.n,
-        free=free,
-        holonomy_full=holonomy_full,
+        # Free, so is_free need not scan: in any nonempty row subset of the
+        # P-matrix, the smallest-index row i keeps its diagonal half turn
+        # (entry 1) in column i, where every later row has entry 0.
+        free=True,
+        # Never full: the last row has only its diagonal entry 1, a half
+        # turn with no sign flip.
+        holonomy_full=False,
         w1=w1,
         orientable=orientable,
         kahler=pairing,
@@ -529,6 +545,83 @@ def analyze(a: BottMatrix) -> ManifoldReport:
         spin=spin,
         s_vector=s_vector,
     )
+
+
+def bott_verdicts(n: int, rows: Sequence[int]) -> tuple[bool, bool, bool]:
+    """(orientable, kahler, spin) of a Bott matrix given as row masks.
+
+    Bit j of rows[i] is a_ij, so rows[i] has bits only at columns
+    i < j < n; BottMatrix.row_masks gives them.  R_i is row i as a set of
+    columns and r_i = |R_i|.  This is the fast twin of analyze, with the
+    same cross-checks and no polynomials.
+
+    Column j of the Bott P-matrix has alpha_j + beta_j = c_j, the column
+    form sum_i a_ij x_i, and theta_j = alpha_j * beta_j
+    = x_j^2 + sum_{i<j} a_ij x_i x_j.  So
+
+    * w1 = c_1 + ... + c_n = sum_i r_i x_i: orientable iff every r_i is even;
+    * w2 = e2(c_1..c_n) has x_i^2 coefficient C(r_i, 2) and x_i x_l
+      coefficient r_i r_l + |R_i & R_l| (i < l), all mod 2;
+    * theta_l is the only generator that carries x_l^2, so w2 lies in the
+      span of the theta exactly when w2 - sum_l C(r_l, 2) theta_l = 0.
+      Subtracting theta_l adds a_il to the x_i x_l coefficient when
+      C(r_l, 2) is odd.  With w1 = 0 every r_i is even, r_i r_l vanishes
+      and C(r_l, 2) is odd iff r_l = 2 mod 4.  So M(A) is Spin iff w1 = 0
+      and |R_i & R_l| + a_il [r_l = 2 mod 4] is even for every i < l,
+      that is |R_i & T_l| is even for T_l = R_l plus column l when
+      r_l = 2 mod 4 (R_l has no column l itself).
+
+    Kahler (Ishida): n is even and every column mask occurs an even
+    number of times.  On Kahler inputs the closed form of
+    spin_kahler_closed_form is evaluated too, and InconsistencyError is
+    raised when it differs from the membership verdict, as it is on a
+    Kahler input with an odd row and on Spin without orientability.
+    """
+    orientable = not any(r.bit_count() & 1 for r in rows)
+    kahler = False
+    if not n & 1:
+        cols = [0] * n
+        bit = 1  # row i as a column bit
+        for r in rows:
+            while r:
+                low = r & -r
+                cols[low.bit_length() - 1] |= bit
+                r ^= low
+            bit <<= 1
+        ordered = sorted(cols)
+        kahler = ordered[::2] == ordered[1::2]
+    spin = orientable
+    if orientable:
+        for l in range(1, n):
+            t = rows[l] | ((rows[l].bit_count() & 2) << (l - 1))
+            if any((rows[i] & t).bit_count() & 1 for i in range(l)):
+                spin = False
+                break
+    if kahler:
+        if not orientable:
+            raise InconsistencyError(
+                f"Kahler columns on the non-orientable matrix {mask_line(n, rows)}"
+            )
+        # one representative per pair: the first of each two equal columns
+        unpaired: set[int] = set()
+        reps = 0
+        for j, c in enumerate(cols):
+            if c in unpaired:
+                unpaired.remove(c)
+            else:
+                unpaired.add(c)
+                reps |= 1 << j
+        spin_cf = all(
+            not (r & reps).bit_count() & 1 or not cols[i] for i, r in enumerate(rows)
+        )
+        if spin_cf != spin:
+            raise InconsistencyError(
+                f"Spin deciders disagree on {mask_line(n, rows)}: "
+                f"closed-form={spin_cf}, membership={spin}"
+            )
+    if spin and not orientable:
+        raise InconsistencyError(f"Spin without orientability on {mask_line(n, rows)}")
+    return orientable, kahler, spin
 
 
 def identical_columns_matrix(n: int, k: int, value_row: int = 0) -> BottMatrix:

@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .bottcore import BottMatrix, InconsistencyError, analyze
+from .bottcore import BottMatrix, InconsistencyError, analyze, bott_verdicts, mask_line
 from .euclid import check_against_rows
 
 __all__ = [
@@ -26,15 +26,16 @@ __all__ = [
     "OracleDisagreementError",
     "CSV_HEADER",
     "cell_count",
+    "cross_check",
     "matrix_at",
     "enumerate_bott",
     "run_census",
 ]
 
-# Size guard: n = 8 has 28 free cells (2^28 = 268 million matrices), most
-# of a day on one core at the n = 6 rate of about 4,000 matrices/s; n = 9
-# (2^36) would take over six months.  Per-matrix cost grows with n, so
-# both figures are lower bounds.
+# Size guard: n = 8 has 28 free cells (2^28 = 268 million matrices), about
+# half an hour on one core at the kernel's n = 8 rate of about 158,000
+# matrices/s; n = 9 (2^36) would take at least five days, since the
+# per-matrix cost grows with n.
 MAX_CELLS = 28
 
 
@@ -73,11 +74,12 @@ class CensusConfig:
     """What to enumerate and how.
 
     With emit_matrices set, every matrix is listed in index order.  With
-    check_oracles set, every matrix is cross-checked against the
-    Euclidean-motion oracle and the two Spin deciders must agree on
-    Kahler inputs; the first disagreement (smallest index) aborts the
-    run with a reproducer.  run_census clamps workers to the number of
-    matrices and of usable CPUs.
+    check_oracles set, every matrix also takes the slow routes of
+    cross_check: analyze must match the kernel's verdicts, its two Spin
+    deciders must agree on Kahler inputs, and the Euclidean-motion
+    oracle must agree with the row calculus; the first disagreement
+    (smallest index) aborts the run with a reproducer.  run_census
+    clamps workers to the number of matrices and of usable CPUs.
     """
 
     n: int
@@ -124,6 +126,47 @@ def enumerate_bott(n: int) -> Iterator[BottMatrix]:
         yield matrix_at(n, index)
 
 
+@lru_cache(maxsize=None)
+def _row_layout(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """How an index splits into row masks: ((shift, field mask) per row, table).
+
+    Row i's n-1-i cells form one bit field of the index, its first cell
+    (column i+1) most significant, so bit b of every field is column
+    n-1-b.  One table, the n-bit reversal of each value below 2^(n-1),
+    therefore maps the field of any row width to its row mask.
+    """
+    layout = []
+    shift = cell_count(n)
+    for i in range(n):
+        width = n - 1 - i
+        shift -= width
+        layout.append((shift, (1 << width) - 1))
+    table = tuple(int(format(v, f"0{n}b")[::-1], 2) for v in range(1 << (n - 1)))
+    return tuple(layout), table
+
+
+def cross_check(a: BottMatrix, verdicts: tuple[bool, bool, bool]) -> list[str]:
+    """Disagreements of the slow routes on a with the kernel's verdicts.
+
+    analyze (the polynomial route, which compares the two Spin deciders
+    on Kahler inputs) must give the same (orientable, kahler, spin), and
+    the Euclidean-motion oracle must agree with the row calculus.
+    """
+    try:
+        report = analyze(a)
+    except InconsistencyError as exc:
+        problems = [str(exc)]
+    else:
+        slow = (report.orientable, report.kahler is not None, report.spin)
+        problems = []
+        if slow != verdicts:
+            problems.append(
+                f"kernel and analyze disagree on {a.to_line()}: "
+                f"(orientable, kahler, spin) = {verdicts} against {slow}"
+            )
+    return problems + check_against_rows(a)
+
+
 def _classify_range(
     n: int,
     start: int,
@@ -131,33 +174,41 @@ def _classify_range(
     check_oracles: bool,
     emit: bool,
 ) -> tuple[dict[str, int], list[str], Optional[tuple[int, str, str]]]:
-    """Classify one contiguous index range.
+    """Classify one contiguous index range with bott_verdicts.
 
+    With check_oracles, every matrix also goes through cross_check.
     Returns (counts, emitted lines, first offender or None); on an
     offender the range stops early, since the census aborts anyway.
     """
-    counts = dict.fromkeys(_COUNT_FIELDS, 0)
+    layout, table = _row_layout(n)
+    tally: dict[tuple[bool, bool, bool], int] = {}
     emitted: list[str] = []
+    offender = None
     for index in range(start, stop):
-        a = matrix_at(n, index)
+        rows = [table[(index >> shift) & mask] for shift, mask in layout]
         try:
-            report = analyze(a)
+            verdicts = bott_verdicts(n, rows)
         except InconsistencyError as exc:
-            return counts, emitted, (index, a.to_line(), str(exc))
+            offender = (index, mask_line(n, rows), str(exc))
+            break
         if check_oracles:
-            problems = check_against_rows(a)
+            a = matrix_at(n, index)
+            problems = cross_check(a, verdicts)
             if problems:
-                return counts, emitted, (index, a.to_line(), problems[0])
-        kahler = report.kahler is not None
-        counts["total"] += 1
-        counts["orientable"] += report.orientable
-        counts["kahler"] += kahler
-        counts["spin"] += report.spin
-        counts["kahler_and_spin"] += kahler and report.spin
-        counts["kahler_not_spin"] += kahler and not report.spin
+                offender = (index, a.to_line(), problems[0])
+                break
+        tally[verdicts] = tally.get(verdicts, 0) + 1
         if emit:
-            emitted.append(a.to_line())
-    return counts, emitted, None
+            emitted.append(mask_line(n, rows))
+    counts = dict.fromkeys(_COUNT_FIELDS, 0)
+    for (orientable, kahler, spin), count in tally.items():
+        counts["total"] += count
+        counts["orientable"] += orientable * count
+        counts["kahler"] += kahler * count
+        counts["spin"] += spin * count
+        counts["kahler_and_spin"] += (kahler and spin) * count
+        counts["kahler_not_spin"] += (kahler and not spin) * count
+    return counts, emitted, offender
 
 
 def run_census(cfg: CensusConfig) -> tuple[CensusRow, list[str]]:

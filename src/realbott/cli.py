@@ -6,7 +6,9 @@ reserved for input and processing problems (unparseable files, bad
 dimensions, size guards).  Exit code 1 means a cross-check disagreed:
 verify on one file lists the disagreements, while verify -n and
 census --check-oracles stop at the first one and print a single error
-line with its index and serialized matrix.
+line with its index and serialized matrix.  check also exits 1, with
+one error line, when analyze's own cross-checks fail (for instance the
+two Spin deciders disagree), since that too is a cross-check failure.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from pathlib import Path
 from typing import Optional
 
 from .bottcore import (
+    InconsistencyError,
     ManifoldReport,
     PMatrix,
     analyze,
     bott_to_p,
+    bott_verdicts,
     characteristic_ideal,
     is_kahler,
     parse_bott,
@@ -33,8 +37,13 @@ from .bottcore import (
     is_free,
     sw_class,
 )
-from .census import CSV_HEADER, CensusConfig, OracleDisagreementError, run_census
-from .euclid import check_against_rows
+from .census import (
+    CSV_HEADER,
+    CensusConfig,
+    OracleDisagreementError,
+    cross_check,
+    run_census,
+)
 from .f2poly import decode_degree2
 
 
@@ -185,7 +194,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         problems: list[str] = []
     else:
         total = 1
-        problems = check_against_rows(parse_bott(_read(args.path)))
+        a = parse_bott(_read(args.path))
+        try:
+            problems = cross_check(a, bott_verdicts(a.n, a.row_masks))
+        except InconsistencyError as exc:  # raised by the kernel's own checks
+            problems = [str(exc)]
     noun = "matrix" if total == 1 else "matrices"
     print(f"{total} {noun}, {len(problems)} disagreements")
     for msg in problems:
@@ -264,7 +277,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OracleDisagreementError as exc:
+    except (OracleDisagreementError, InconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:  # MatrixParseError is a ValueError

@@ -1,8 +1,12 @@
 """Tests for the Bott/P-matrix layer and the manifold deciders."""
 
 import itertools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realbott import (
     BottMatrix,
@@ -13,6 +17,7 @@ from realbott import (
     PMatrix,
     analyze,
     bott_to_p,
+    bott_verdicts,
     characteristic_ideal,
     cocycles,
     enumerate_bott,
@@ -22,6 +27,7 @@ from realbott import (
     is_free,
     is_kahler,
     is_orientable,
+    matrix_at,
     parse_bott,
     parse_pmatrix,
     pmatrix_to_bott,
@@ -30,6 +36,7 @@ from realbott import (
     spin_membership,
     sw_class,
 )
+from realbott.bottcore import mask_line
 from realbott.f2poly import encode_degree2
 
 from conftest import SIXDIM_BOTT_TEXT, SIXDIM_P_TEXT, zero_bott
@@ -455,3 +462,115 @@ class TestIdenticalColumnsBuilder:
             identical_columns_matrix(8, 4)
         with pytest.raises(ValueError):
             identical_columns_matrix(4, 0)
+
+
+def from_columns(n: int, cols) -> BottMatrix:
+    return BottMatrix(
+        tuple(tuple((cols[j] >> i) & 1 for j in range(n)) for i in range(n))
+    )
+
+
+@st.composite
+def bott_matrices(draw, max_n=12):
+    """Uniform Bott matrix with n <= max_n: column j is any mask below 2^j."""
+    n = draw(st.integers(1, max_n))
+    return from_columns(n, [draw(st.integers(0, (1 << j) - 1)) for j in range(n)])
+
+
+@st.composite
+def planted_kahler(draw, max_n=12):
+    """Bott matrix of even n <= max_n whose columns split into equal pairs.
+
+    Uniform draws are almost never Kahler.  Columns are matched at random,
+    and both columns of a pair j < k get one mask of the rows above j.
+    """
+    n = 2 * draw(st.integers(1, max_n // 2))
+    order = draw(st.permutations(range(n)))
+    cols = [0] * n
+    for m in range(0, n, 2):
+        j, k = sorted(order[m : m + 2])
+        cols[j] = cols[k] = draw(st.integers(0, (1 << j) - 1))
+    return from_columns(n, cols)
+
+
+def slow_verdicts(a: BottMatrix) -> tuple[bool, bool, bool]:
+    rep = analyze(a)
+    return rep.orientable, rep.kahler is not None, rep.spin
+
+
+def kernel_matches_analyze(a: BottMatrix) -> bool:
+    return bott_verdicts(a.n, a.row_masks) == slow_verdicts(a)
+
+
+def scans_match_constants(a: BottMatrix) -> bool:
+    p = bott_to_p(a)
+    return is_free(p) and not has_full_holonomy(p)
+
+
+def failures(job) -> list[str]:
+    check, n, start, stop = job
+    return [
+        matrix_at(n, i).to_line()
+        for i in range(start, stop)
+        if not check(matrix_at(n, i))
+    ]
+
+
+@pytest.fixture(scope="module")
+def pool():
+    """Two workers for the exhaustive twins: analyze on all 32,768 matrices
+    with n = 6 takes several seconds in one process."""
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=context) as executor:
+        yield executor
+
+
+def exhaustive_failures(pool, check) -> list[str]:
+    """Every Bott matrix with n <= 6 on which check fails."""
+    jobs = []
+    for n in range(1, 7):
+        total = 1 << (n * (n - 1) // 2)
+        jobs += [(check, n, total * k // 4, total * (k + 1) // 4) for k in range(4)]
+    return [line for part in pool.map(failures, jobs) for line in part]
+
+
+class TestBottVerdicts:
+    """The bitmask kernel against analyze, its polynomial twin."""
+
+    def test_row_masks_and_line(self, sixdim_bott):
+        assert sixdim_bott.row_masks == (0b111100, 0b111100, 0b110000, 0b110000, 0, 0)
+        assert mask_line(6, sixdim_bott.row_masks) == (
+            "001111/001111/000011/000011/000000/000000"
+        )
+
+    def test_sixdim(self, sixdim_bott):
+        assert bott_verdicts(6, sixdim_bott.row_masks) == (True, True, False)
+
+    def test_matches_analyze_exhaustive_n_le_6(self, pool):
+        assert exhaustive_failures(pool, kernel_matches_analyze) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(bott_matrices())
+    def test_matches_analyze_random(self, a):
+        assert kernel_matches_analyze(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_kahler())
+    def test_matches_analyze_planted_kahler(self, a):
+        assert bott_verdicts(a.n, a.row_masks)[1]
+        assert kernel_matches_analyze(a)
+
+
+class TestBottPathConstants:
+    """analyze reports free = True and holonomy_full = False on every Bott
+    matrix without scanning; the scans remain the twins."""
+
+    def test_exhaustive_n_le_6(self, pool):
+        assert exhaustive_failures(pool, scans_match_constants) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(bott_matrices())
+    def test_random(self, a):
+        assert scans_match_constants(a)
+        rep = analyze(a)
+        assert rep.free and not rep.holonomy_full

@@ -127,6 +127,32 @@ class TestRunCensus:
             row, _ = run_census(CensusConfig(n=n, check_oracles=True))
             assert row.total == 1 << cell_count(n)
 
+    def test_index_decodes_to_matrix_at_rows(self):
+        # the plain path reads row masks straight from the index
+        for n in range(1, 7):
+            layout, table = census_mod._row_layout(n)
+            for index in range(1 << cell_count(n)):
+                rows = tuple(table[(index >> shift) & mask] for shift, mask in layout)
+                assert rows == matrix_at(n, index).row_masks
+
+    @pytest.mark.parametrize(
+        "csv",
+        [
+            "1,1,1,0,1,0,0",
+            "2,2,1,1,1,1,0",
+            "3,8,2,0,2,0,0",
+            "4,64,8,6,8,6,0",
+            "5,1024,64,0,30,0,0",
+            "6,32768,1024,192,176,76,116",
+            "7,2097152,32768,0,1482,0,0",
+        ],
+    )
+    def test_reference_rows(self, csv):
+        # the README table; n = 7 was confirmed once by the polynomial route
+        n = int(csv.split(",")[0])
+        row, _ = run_census(CensusConfig(n=n, workers=2))
+        assert row.to_csv() == csv
+
     def test_csv_row(self):
         row, _ = run_census(CensusConfig(n=2))
         assert CSV_HEADER == "n,total,orientable,kahler,spin,kahler_and_spin,kahler_not_spin"
@@ -134,12 +160,21 @@ class TestRunCensus:
 
 
 class TestDisagreementAbort:
-    def test_reproducer_carries_smallest_index(self, monkeypatch):
-        # sabotage the classifier for two specific matrices; the abort
-        # must report the smaller index with its serialized reproducer
-        import realbott.census as census_mod
+    """A sabotaged route must abort the census at the smallest offending
+    index, with its serialized reproducer."""
 
-        bad_lines = {matrix_at(3, 5).to_line(), matrix_at(3, 2).to_line()}
+    bad = (5, 2)
+
+    def assert_aborts_at_2(self, cfg, detail):
+        with pytest.raises(OracleDisagreementError) as excinfo:
+            run_census(cfg)
+        assert excinfo.value.index == 2
+        assert excinfo.value.line == matrix_at(3, 2).to_line()
+        assert detail in excinfo.value.detail
+
+    def test_reproducer_carries_smallest_index(self, monkeypatch):
+        # analyze runs only under check_oracles
+        bad_lines = {matrix_at(3, i).to_line() for i in self.bad}
         real_analyze = census_mod.analyze
 
         def sabotaged(a):
@@ -148,11 +183,37 @@ class TestDisagreementAbort:
             return real_analyze(a)
 
         monkeypatch.setattr(census_mod, "analyze", sabotaged)
-        with pytest.raises(OracleDisagreementError) as excinfo:
-            run_census(CensusConfig(n=3))
-        assert excinfo.value.index == 2
-        assert excinfo.value.line == matrix_at(3, 2).to_line()
-        assert "injected" in excinfo.value.detail
+        assert run_census(CensusConfig(n=3))[0].total == 8
+        self.assert_aborts_at_2(CensusConfig(n=3, check_oracles=True), "injected")
+
+    def test_kernel_sabotage_on_plain_path(self, monkeypatch):
+        bad_masks = {matrix_at(3, i).row_masks for i in self.bad}
+        real_kernel = census_mod.bott_verdicts
+
+        def sabotaged(n, rows):
+            if tuple(rows) in bad_masks:
+                raise InconsistencyError("injected disagreement")
+            return real_kernel(n, rows)
+
+        monkeypatch.setattr(census_mod, "bott_verdicts", sabotaged)
+        self.assert_aborts_at_2(CensusConfig(n=3), "injected")
+
+    def test_check_oracles_catches_wrong_kernel_verdict(self, monkeypatch):
+        # a kernel that miscounts without raising passes the plain path;
+        # under check_oracles analyze disagrees with it
+        bad_masks = {matrix_at(3, i).row_masks for i in self.bad}
+        real_kernel = census_mod.bott_verdicts
+
+        def flipped(n, rows):
+            orientable, kahler, spin = real_kernel(n, rows)
+            return orientable, kahler, spin ^ (tuple(rows) in bad_masks)
+
+        monkeypatch.setattr(census_mod, "bott_verdicts", flipped)
+        row, _ = run_census(CensusConfig(n=3))
+        assert row.spin == 2 + len(self.bad)
+        self.assert_aborts_at_2(
+            CensusConfig(n=3, check_oracles=True), "kernel and analyze disagree"
+        )
 
 
 class TestWorkerCap:

@@ -5,7 +5,8 @@ import json
 import pytest
 
 import realbott.census as census_mod
-from realbott import InconsistencyError, matrix_at, parse_bott
+import realbott.cli as cli_mod
+from realbott import InconsistencyError, analyze, matrix_at, parse_bott
 from realbott.cli import main
 
 from conftest import KLEIN_TEXT, SIXDIM_BOTT_TEXT, SIXDIM_P_TEXT
@@ -109,6 +110,16 @@ class TestCheck:
             code, out, _ = run(capsys, "check", "--json", *argv)
             assert code == 0
             assert list(json.loads(out)) == order
+
+    def test_inconsistency_error_line_exit_1(self, capsys, klein_file, monkeypatch):
+        def analyze(a):
+            raise InconsistencyError(f"Spin deciders disagree on {a.to_line()}")
+
+        monkeypatch.setattr(cli_mod, "analyze", analyze)
+        code, out, err = run(capsys, "check", klein_file)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: Spin deciders disagree on 01/00"]
 
     def test_json_stable_across_runs(self, capsys, sixdim_bott_file):
         _, first, _ = run(capsys, "check", sixdim_bott_file, "--json")
@@ -229,6 +240,58 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", sixdim_bott_file)
         assert code == 0
         assert out.strip() == "1 matrix, 0 disagreements"
+
+    def test_single_file_runs_analyze_and_kernel(self, capsys, sixdim_bott_file, monkeypatch):
+        # the README's Kahler fixture takes every route: analyze with its two
+        # Spin deciders, the kernel, and the motion oracle
+        calls = []
+        real_analyze = census_mod.analyze
+        real_kernel = cli_mod.bott_verdicts
+
+        def counted_analyze(a):
+            calls.append("analyze")
+            return real_analyze(a)
+
+        def counted_kernel(n, rows):
+            calls.append("kernel")
+            return real_kernel(n, rows)
+
+        monkeypatch.setattr(census_mod, "analyze", counted_analyze)
+        monkeypatch.setattr(cli_mod, "bott_verdicts", counted_kernel)
+        code, out, _ = run(capsys, "verify", sixdim_bott_file)
+        assert code == 0
+        assert out.strip() == "1 matrix, 0 disagreements"
+        assert calls == ["kernel", "analyze"]
+
+    def test_single_file_sabotaged_analyze(self, capsys, sixdim_bott_file, monkeypatch):
+        def flipped(a):
+            rep = analyze(a)
+            return type(rep)(**{**rep.__dict__, "spin": not rep.spin})
+
+        monkeypatch.setattr(census_mod, "analyze", flipped)
+        code, out, _ = run(capsys, "verify", sixdim_bott_file)
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert lines[0] == "1 matrix, 1 disagreements"
+        assert lines[1].startswith(
+            "kernel and analyze disagree on 001111/001111/000011/000011/000000/000000"
+        )
+
+    def test_single_file_sabotaged_spin_decider(self, capsys, sixdim_bott_file, monkeypatch):
+        # analyze's closed-form Spin decider is wrong: analyze raises, and
+        # the oracle still runs
+        import realbott.bottcore as bottcore_mod
+
+        monkeypatch.setattr(
+            bottcore_mod, "spin_kahler_closed_form", lambda a, pairing: (True, ())
+        )
+        code, out, _ = run(capsys, "verify", sixdim_bott_file)
+        assert code == 1
+        assert out.strip().splitlines() == [
+            "1 matrix, 1 disagreements",
+            "Spin deciders disagree on 001111/001111/000011/000011/000000/000000: "
+            "closed-form=True, membership=False",
+        ]
 
     def test_requires_target(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
