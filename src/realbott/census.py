@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .bottcore import BottMatrix, InconsistencyError, analyze, bott_verdicts, mask_line
-from .euclid import check_against_rows
+from .euclid import check_against_rows, orientable_by_motions
 
 __all__ = [
     "CensusRow",
@@ -149,8 +149,9 @@ def cross_check(a: BottMatrix, verdicts: tuple[bool, bool, bool]) -> list[str]:
     """Disagreements of the slow routes on a with the kernel's verdicts.
 
     analyze (the polynomial route, which compares the two Spin deciders
-    on Kahler inputs) must give the same (orientable, kahler, spin), and
-    the Euclidean-motion oracle must agree with the row calculus.
+    on Kahler inputs) must give the same (orientable, kahler, spin), the
+    generators' sign products must give the same orientability, and the
+    Euclidean-motion oracle must agree with the row calculus.
     """
     try:
         report = analyze(a)
@@ -164,6 +165,12 @@ def cross_check(a: BottMatrix, verdicts: tuple[bool, bool, bool]) -> list[str]:
                 f"kernel and analyze disagree on {a.to_line()}: "
                 f"(orientable, kahler, spin) = {verdicts} against {slow}"
             )
+    by_motions = orientable_by_motions(a)
+    if by_motions != verdicts[0]:
+        problems.append(
+            f"kernel and motions disagree on {a.to_line()}: "
+            f"orientable = {verdicts[0]} against {by_motions}"
+        )
     return problems + check_against_rows(a)
 
 

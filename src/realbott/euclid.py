@@ -7,12 +7,16 @@ exact; fixed-point questions on the torus reduce to sign patterns and
 translation parities, with no floating point anywhere.
 
 This module is the independent oracle against which the combinatorial
-row-subset freeness test and the cocycle holonomy prediction are
-cross-checked.
+row-subset freeness test, the cocycle holonomy prediction and the row
+parity test for orientability are cross-checked.  check_against_rows
+builds the motions of all 2^n generator subsets in one Gray-code walk,
+so each subset costs one exact composition: the running motion takes
+one generator in or out per step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -24,6 +28,8 @@ __all__ = [
     "element_of",
     "acts_freely",
     "holonomy_matrix",
+    "orientable_by_motions",
+    "subset_motions",
     "check_against_rows",
 ]
 
@@ -118,26 +124,57 @@ def holonomy_matrix(a: BottMatrix, subset: Iterable[int]) -> tuple[int, ...]:
     return element_of(a, subset).signs
 
 
+def orientable_by_motions(a: BottMatrix) -> bool:
+    """Orientability read off the motions, with no Stiefel-Whitney algebra.
+
+    The linear part of s_i has determinant (-1)^(weight of row i), and the
+    group preserves orientation iff every generator does.
+    """
+    return all(math.prod(s.signs) == 1 for s in generators(a))
+
+
+def subset_motions(gens: tuple[EuclideanMotion, ...]) -> list[EuclideanMotion]:
+    """The motion of every generator subset, indexed by mask, one compose each.
+
+    The masks are visited in reflected Gray-code order from 0: step k
+    flips bit i = lowest set bit of k, composing the running motion with
+    s_i when it enters and with s_i^-1 when it leaves.  The motion at a
+    mask is not the sorted product element_of(a, subset), but it differs
+    from it by an integer translation.  Two adjacent factors
+    s_i^(+-1) = (D_i, +-t_i) and s_j^(+-1) commute up to one: the
+    diagonal parts commute, and the translations of the two orders
+    differ by +-(I - D_j) t_i +- (D_i - I) t_j, whose doubled entries
+    are 0 or +-2.  Sorting the walk's word that way leaves pairs
+    s_i^-1 s_i = identity to cancel.  An integer translation changes no
+    sign and no translation parity, which are all that the holonomy and
+    fixed-point verdicts read.
+    """
+    inverses = [s.inverse() for s in gens]
+    out = [EuclideanMotion.identity(len(gens))] * (1 << len(gens))
+    g = out[0]
+    for k in range(1, len(out)):
+        i = (k & -k).bit_length() - 1
+        mask = k ^ (k >> 1)
+        g = out[mask] = g.compose(gens[i] if (mask >> i) & 1 else inverses[i])
+    return out
+
+
 def check_against_rows(a: BottMatrix) -> list[str]:
     """Cross-check the motion oracle against the row-calculus layer.
 
     For every nonempty generator subset the fixed-point verdict must
     equal the row-subset freeness predicate, and for every subset the
     sign pattern must match the cocycle prediction diag((-1)^(alpha_j +
-    beta_j)).  Returns one message per disagreement (empty = all agree).
-    Cost grows as 2^n; meant for small n.
+    beta_j)).  Returns one message per disagreement (empty = all agree),
+    in ascending subset order.  The motions come from subset_motions, so
+    the cost is 2^n compositions; meant for small n.
     """
     n = a.n
     p = bott_to_p(a)
     alphas, betas = cocycles(p)
     sign_forms = [alphas[j] + betas[j] for j in range(n)]
-    gens = generators(a)
     problems: list[str] = []
-    for mask in range(1 << n):
-        g = EuclideanMotion.identity(n)
-        for i in range(n):
-            if (mask >> i) & 1:
-                g = g.compose(gens[i])
+    for mask, g in enumerate(subset_motions(generators(a))):
         predicted = tuple(-1 if f.evaluate(mask) else 1 for f in sign_forms)
         if g.signs != predicted:
             problems.append(

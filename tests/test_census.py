@@ -215,6 +215,20 @@ class TestDisagreementAbort:
             CensusConfig(n=3, check_oracles=True), "kernel and analyze disagree"
         )
 
+    def test_check_oracles_runs_orientability_route(self, monkeypatch):
+        # the generators' sign products are a second route to orientability
+        bad_lines = {matrix_at(3, i).to_line() for i in self.bad}
+        real_route = census_mod.orientable_by_motions
+
+        def flipped(a):
+            return real_route(a) ^ (a.to_line() in bad_lines)
+
+        monkeypatch.setattr(census_mod, "orientable_by_motions", flipped)
+        assert run_census(CensusConfig(n=3))[0].total == 8
+        self.assert_aborts_at_2(
+            CensusConfig(n=3, check_oracles=True), "kernel and motions disagree"
+        )
+
 
 class TestWorkerCap:
     """run_census never asks for more workers than usable CPUs or matrices.

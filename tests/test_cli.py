@@ -293,6 +293,18 @@ class TestVerify:
             "closed-form=True, membership=False",
         ]
 
+    def test_single_file_sabotaged_orientability_route(
+        self, capsys, sixdim_bott_file, monkeypatch
+    ):
+        monkeypatch.setattr(census_mod, "orientable_by_motions", lambda a: False)
+        code, out, _ = run(capsys, "verify", sixdim_bott_file)
+        assert code == 1
+        assert out.strip().splitlines() == [
+            "1 matrix, 1 disagreements",
+            "kernel and motions disagree on 001111/001111/000011/000011/000000/000000: "
+            "orientable = True against False",
+        ]
+
     def test_requires_target(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify"])

@@ -1,13 +1,15 @@
 """Tests for the exact Euclidean-motion oracle."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import realbott.euclid as euclid_mod
 from realbott import (
     EuclideanMotion,
     acts_freely,
     bott_to_p,
+    bott_verdicts,
     check_against_rows,
     cocycles,
     element_of,
@@ -15,8 +17,12 @@ from realbott import (
     free_at_subset,
     generators,
     holonomy_matrix,
+    matrix_at,
+    orientable_by_motions,
     parse_bott,
+    subset_motions,
 )
+from realbott.census import cell_count
 
 from conftest import SIXDIM_BOTT_TEXT, zero_bott
 
@@ -141,14 +147,88 @@ class TestHolonomyMatrix:
                     assert holonomy_matrix(a, subset) == predicted
 
 
+def subset_of(mask: int, n: int) -> list[int]:
+    return [i for i in range(n) if (mask >> i) & 1]
+
+
+class TestSubsetMotions:
+    def test_matches_element_of_exhaustive_n_le_4(self):
+        # same signs and translation parities as the sorted product
+        for n in (1, 2, 3, 4):
+            for a in enumerate_bott(n):
+                motions = subset_motions(generators(a))
+                assert len(motions) == 1 << n
+                for mask, g in enumerate(motions):
+                    e = element_of(a, subset_of(mask, n))
+                    assert g.signs == e.signs
+                    assert [t % 2 for t in g.trans2] == [t % 2 for t in e.trans2]
+
+    def test_check_visits_each_subset_once(self, sixdim_bott, monkeypatch):
+        seen = []
+        real = euclid_mod.free_at_subset
+
+        def spy(p, mask):
+            seen.append(mask)
+            return real(p, mask)
+
+        monkeypatch.setattr(euclid_mod, "free_at_subset", spy)
+        assert check_against_rows(sixdim_bott) == []
+        assert len(seen) == 63
+        assert sorted(seen) == list(range(1, 64))
+
+    @staticmethod
+    def flip_at(monkeypatch, bad_masks):
+        real = euclid_mod.free_at_subset
+        monkeypatch.setattr(
+            euclid_mod, "free_at_subset", lambda p, mask: real(p, mask) ^ (mask in bad_masks)
+        )
+
+    def test_sabotage_names_the_mask(self, sixdim_bott, monkeypatch):
+        self.flip_at(monkeypatch, {0x2A})
+        assert check_against_rows(sixdim_bott) == [
+            f"freeness mismatch on {sixdim_bott.to_line()} subset 0x2a: "
+            "motion True, rows False"
+        ]
+
+    def test_messages_in_ascending_mask_order(self, sixdim_bott, monkeypatch):
+        # the walk reaches 0x3f (step 42) before 0x20 (its last step)
+        self.flip_at(monkeypatch, {0x20, 0x3F})
+        problems = check_against_rows(sixdim_bott)
+        assert len(problems) == 2
+        assert "subset 0x20:" in problems[0]
+        assert "subset 0x3f:" in problems[1]
+
+
+class TestOrientableByMotions:
+    def test_klein_bottle_and_sixdim(self, klein_bottle, sixdim_bott):
+        assert not orientable_by_motions(klein_bottle)
+        assert orientable_by_motions(sixdim_bott)
+
+    def test_matches_kernel_exhaustive_n_le_6(self):
+        for n in range(1, 7):
+            for a in enumerate_bott(n):
+                assert orientable_by_motions(a) == bott_verdicts(n, a.row_masks)[0]
+
+
 class TestCrossCheck:
     def test_sixdim_all_subsets_agree(self, sixdim_bott):
         assert check_against_rows(sixdim_bott) == []
 
     def test_exhaustive_small_n(self):
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
             for a in enumerate_bott(n):
                 assert check_against_rows(a) == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.integers(0, (1 << cell_count(n)) - 1).map(
+                lambda index: matrix_at(n, index)
+            )
+        )
+    )
+    def test_random_up_to_n8(self, a):
+        assert check_against_rows(a) == []
 
 
 @st.composite
