@@ -12,7 +12,6 @@ from realbott import (
     bott_to_p,
     characteristic_ideal,
     cocycles,
-    is_orientable,
     parse_bott,
     sw_class,
 )
@@ -57,8 +56,7 @@ def main() -> None:
     print(f"Total Stiefel-Whitney class, truncated at degree 2:  w = {w}")
     w1 = w.graded_component(1)
     w2 = w.graded_component(2)
-    orientable, _ = is_orientable(p)
-    print(f"  w1 = {w1}  ->  orientable: {orientable}")
+    print(f"  w1 = {w1}  ->  orientable: {w1.is_zero}")
     print(f"  w2 = {w2} (raw, before reduction modulo the ideal)")
     print()
 

@@ -14,6 +14,7 @@ Run:  python demos/kahler_and_spin.py
 import itertools
 
 from realbott import (
+    KahlerPairing,
     analyze,
     is_kahler,
     parse_bott,
@@ -66,11 +67,13 @@ def show(label: str, text: str) -> None:
     print(f"General decider: w1 = {w1}, raw w2 = {w2}, spin = {spin_gen}")
     assert spin_cf == spin_gen
 
-    # the verdict never depends on which representative is taken
-    verdicts = {
-        spin_kahler_closed_form(a, pairing, reps)[0]
-        for reps in itertools.product(*pairing.pairs)
-    }
+    # the verdict never depends on which representative is taken; the
+    # first column of each pair is its representative, so list each
+    # chosen one first
+    verdicts = set()
+    for reps in itertools.product(*pairing.pairs):
+        pairs = tuple((r, i + j - r) for r, (i, j) in zip(reps, pairing.pairs))
+        verdicts.add(spin_kahler_closed_form(a, KahlerPairing(pairs))[0])
     print(f"Verdict over all {2 ** len(pairing.pairs)} representative choices: {verdicts}")
     print()
 

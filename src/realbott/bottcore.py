@@ -60,10 +60,8 @@ __all__ = [
     "cocycles",
     "characteristic_ideal",
     "sw_class",
-    "is_orientable",
     "is_kahler",
     "spin_membership",
-    "spin_general",
     "spin_kahler_closed_form",
     "analyze",
     "bott_verdicts",
@@ -117,9 +115,6 @@ class BottMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)
-
-    def row_parity(self, i: int) -> int:
-        return sum(self.rows[i]) & 1
 
     @cached_property
     def row_masks(self) -> tuple[int, ...]:
@@ -250,33 +245,18 @@ def bott_to_p(a: BottMatrix) -> PMatrix:
 
 
 def pmatrix_to_bott(p: PMatrix) -> Optional[BottMatrix]:
-    """Recover the Bott matrix when p has Bott shape, else None.
+    """The Bott matrix a with bott_to_p(a) == p, or None if there is none.
 
-    Bott shape: square, diagonal entries 1, upper-triangular entries in
-    {0, 2}, lower-triangular entries 0.
+    a_ij = 1 where p has a 2 above the diagonal; a is the answer only if
+    it maps back to p, which checks the rest of the Bott shape.
     """
     if p.d != p.n:
         return None
     n = p.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = p.rows[i][j]
-            if i == j:
-                if e != 1:
-                    return None
-                row.append(0)
-            elif i > j:
-                if e != 0:
-                    return None
-                row.append(0)
-            else:
-                if e not in (0, 2):
-                    return None
-                row.append(1 if e == 2 else 0)
-        rows.append(tuple(row))
-    return BottMatrix(tuple(rows))
+    a = BottMatrix(
+        tuple(tuple(int(j > i and p.rows[i][j] == 2) for j in range(n)) for i in range(n))
+    )
+    return a if bott_to_p(a) == p else None
 
 
 def free_at_subset(p: PMatrix, subset_mask: int) -> bool:
@@ -378,23 +358,11 @@ def sw_class(p: PMatrix, max_degree: int = 2) -> GradedPolyF2:
     return truncated_product(factors, max_degree)
 
 
-def is_orientable(m: BottMatrix | PMatrix) -> tuple[bool, GradedPolyF2]:
-    """Orientability verdict together with the w1 witness.
-
-    w1 is the degree-1 part of the Stiefel-Whitney product; for a Bott
-    matrix its x_i coefficient is the parity of row i.
-    """
-    p = bott_to_p(m) if isinstance(m, BottMatrix) else m
-    w1 = sw_class(p, 1).graded_component(1)
-    return w1.is_zero, w1
-
-
 @dataclass(frozen=True)
 class KahlerPairing:
-    """A partition of the column indices (0-based) into equal pairs."""
+    """Column indices (0-based) partitioned into equal pairs, representative first."""
 
     pairs: tuple[tuple[int, int], ...]
-    representatives: tuple[int, ...]
 
 
 def is_kahler(a: BottMatrix) -> Optional[KahlerPairing]:
@@ -402,7 +370,7 @@ def is_kahler(a: BottMatrix) -> Optional[KahlerPairing]:
 
     Absent for odd n.  The pairing returned is deterministic: equality
     classes sorted by their smallest member, consecutive indices paired
-    within each class, the smaller index of each pair as representative.
+    within each class, so the smaller index of each pair comes first.
     Any other pairing of equal columns is equivalent.
     """
     n = a.n
@@ -414,13 +382,8 @@ def is_kahler(a: BottMatrix) -> Optional[KahlerPairing]:
     classes = sorted(groups.values(), key=lambda g: g[0])
     if any(len(g) % 2 for g in classes):
         return None
-    pairs = []
-    reps = []
-    for g in classes:
-        for k in range(0, len(g), 2):
-            pairs.append((g[k], g[k + 1]))
-            reps.append(g[k])
-    return KahlerPairing(pairs=tuple(pairs), representatives=tuple(reps))
+    pairs = tuple((g[k], g[k + 1]) for g in classes for k in range(0, len(g), 2))
+    return KahlerPairing(pairs=pairs)
 
 
 def spin_membership(m: BottMatrix | PMatrix) -> tuple[bool, GradedPolyF2, GradedPolyF2]:
@@ -435,9 +398,6 @@ def spin_membership(m: BottMatrix | PMatrix) -> tuple[bool, GradedPolyF2, Graded
     w2 = w.graded_component(2)
     spin = w1.is_zero and characteristic_ideal(p).contains(w2)
     return spin, w1, w2
-
-
-spin_general = spin_membership  # the Spin decider for any input, Kahler or not
 
 
 def _validate_pairing(a: BottMatrix, pairing: KahlerPairing) -> None:
@@ -457,31 +417,18 @@ def _validate_pairing(a: BottMatrix, pairing: KahlerPairing) -> None:
         raise ValueError("pairing does not cover every column exactly once")
 
 
-def spin_kahler_closed_form(
-    a: BottMatrix,
-    pairing: KahlerPairing,
-    representatives: Optional[Sequence[int]] = None,
-) -> tuple[bool, tuple[int, ...]]:
+def spin_kahler_closed_form(a: BottMatrix, pairing: KahlerPairing) -> tuple[bool, tuple[int, ...]]:
     """Closed-form Spin test for a Kahler Bott matrix: (verdict, S-vector).
 
-    S_i is the parity of row i summed over one representative column per
-    pair; the manifold is Spin iff every row has S_i even or column i of
-    A entirely zero (the latter puts x_i^2 in the characteristic ideal).
-    The verdict does not depend on which representative is chosen, since
-    paired columns are equal.
+    S_i is the parity of row i summed over the first column of each pair;
+    the manifold is Spin iff every row has S_i even or column i of A
+    entirely zero (the latter puts x_i^2 in the characteristic ideal).
+    Paired columns are equal, so listing a pair the other way round
+    picks the other representative and gives the same verdict.
     """
     _validate_pairing(a, pairing)
-    if representatives is None:
-        reps = pairing.representatives
-    else:
-        reps = tuple(representatives)
-        if len(reps) != len(pairing.pairs):
-            raise ValueError("need exactly one representative per pair")
-        for r, pair in zip(reps, pairing.pairs):
-            if r not in pair:
-                raise ValueError(f"representative {r} is not in its pair {pair}")
     n = a.n
-    s_vector = tuple(sum(a.rows[i][r] for r in reps) & 1 for i in range(n))
+    s_vector = tuple(sum(a.rows[i][r] for r, _ in pairing.pairs) & 1 for i in range(n))
     zero_col = tuple(not any(a.column(i)) for i in range(n))
     spin = all(s == 0 or zero_col[i] for i, s in enumerate(s_vector))
     return spin, s_vector

@@ -27,11 +27,15 @@ __all__ = [
     "generators",
     "element_of",
     "acts_freely",
-    "holonomy_matrix",
     "orientable_by_motions",
     "subset_motions",
     "check_against_rows",
 ]
+
+# Size guard: subset_motions keeps all 2^n motions, so time and memory double
+# with each +1 in n (n = 16: about 1.2 s and 47 MB); n = 20 extrapolates to
+# about 20 s and 0.75 GB, and n = 24 to gigabytes.
+MAX_MOTION_DIM = 20
 
 
 @dataclass(frozen=True)
@@ -119,11 +123,6 @@ def acts_freely(a: BottMatrix, subset: Iterable[int]) -> bool:
     return element_of(a, chosen).has_no_fixed_point()
 
 
-def holonomy_matrix(a: BottMatrix, subset: Iterable[int]) -> tuple[int, ...]:
-    """Diagonal sign pattern of the product of the selected generators."""
-    return element_of(a, subset).signs
-
-
 def orientable_by_motions(a: BottMatrix) -> bool:
     """Orientability read off the motions, with no Stiefel-Whitney algebra.
 
@@ -167,9 +166,13 @@ def check_against_rows(a: BottMatrix) -> list[str]:
     sign pattern must match the cocycle prediction diag((-1)^(alpha_j +
     beta_j)).  Returns one message per disagreement (empty = all agree),
     in ascending subset order.  The motions come from subset_motions, so
-    the cost is 2^n compositions; meant for small n.
+    the cost is 2^n compositions; n above MAX_MOTION_DIM is refused.
     """
     n = a.n
+    if n > MAX_MOTION_DIM:
+        raise ValueError(
+            f"size guard exceeded: n={n} needs 2^{n} motions, limit is n={MAX_MOTION_DIM}"
+        )
     p = bott_to_p(a)
     alphas, betas = cocycles(p)
     sign_forms = [alphas[j] + betas[j] for j in range(n)]

@@ -13,6 +13,7 @@ import time
 from realbott import (
     CensusConfig,
     GradedPolyF2,
+    KahlerPairing,
     LinearFormF2,
     bott_to_p,
     characteristic_ideal,
@@ -22,13 +23,13 @@ from realbott import (
     generators,
     identical_columns_matrix,
     is_kahler,
-    is_orientable,
     matrix_at,
     parse_bott,
     parse_pmatrix,
     run_census,
-    spin_general,
     spin_kahler_closed_form,
+    spin_membership,
+    sw_class,
     truncated_product,
 )
 from realbott.census import cell_count
@@ -158,9 +159,11 @@ def test_criterion_05_spin_decider_equivalence():
             if pairing is None:
                 continue
             checked += 1
-            general, _, _ = spin_general(a)
+            general, _, _ = spin_membership(a)
             for reps in itertools.product(*pairing.pairs):
-                closed, _ = spin_kahler_closed_form(a, pairing, reps)
+                # each chosen representative first in its pair
+                pairs = tuple((r, i + j - r) for r, (i, j) in zip(reps, pairing.pairs))
+                closed, _ = spin_kahler_closed_form(a, KahlerPairing(pairs))
                 if closed != general:
                     disagreements += 1
     elapsed = time.perf_counter() - started
@@ -198,7 +201,7 @@ def test_criterion_07_identical_columns_family():
                 continue  # 2k equal nonzero columns do not fit
             combos.append((n, k))
             a = identical_columns_matrix(n, k)
-            spin, _, _ = spin_general(a)
+            spin, _, _ = spin_membership(a)
             if not spin:
                 failures.append((n, k))
     elapsed = time.perf_counter() - started
@@ -211,8 +214,8 @@ def test_criterion_08_orientability_characterization():
     disagreements = 0
     for n in (1, 2, 3, 4, 5):
         for a in enumerate_bott(n):
-            orientable, _ = is_orientable(bott_to_p(a))
-            parity_ok = all(a.row_parity(i) == 0 for i in range(n))
+            orientable = sw_class(bott_to_p(a), 1).graded_component(1).is_zero
+            parity_ok = all(sum(a.rows[i]) & 1 == 0 for i in range(n))
             if orientable != parity_ok:
                 disagreements += 1
     ok = disagreements == 0

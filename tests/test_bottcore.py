@@ -26,12 +26,10 @@ from realbott import (
     identical_columns_matrix,
     is_free,
     is_kahler,
-    is_orientable,
     matrix_at,
     parse_bott,
     parse_pmatrix,
     pmatrix_to_bott,
-    spin_general,
     spin_kahler_closed_form,
     spin_membership,
     sw_class,
@@ -255,24 +253,24 @@ class TestSwClass:
 
 class TestOrientability:
     def test_klein_bottle(self, klein_bottle):
-        orientable, w1 = is_orientable(klein_bottle)
-        assert not orientable
+        _, w1, _ = spin_membership(klein_bottle)
+        assert not w1.is_zero
         assert str(w1) == "x1"
 
     def test_sixdim(self, sixdim_bott):
-        orientable, w1 = is_orientable(sixdim_bott)
-        assert orientable and w1.is_zero
+        _, w1, _ = spin_membership(sixdim_bott)
+        assert w1.is_zero
 
     def test_row_parity_characterization(self):
         for n in (1, 2, 3, 4):
             for a in enumerate_bott(n):
-                orientable, w1 = is_orientable(a)
-                assert orientable == all(a.row_parity(i) == 0 for i in range(n))
+                _, w1, _ = spin_membership(a)
+                assert w1.is_zero == all(sum(a.rows[i]) & 1 == 0 for i in range(n))
                 # coefficient of x_i in w1 is the parity of row i
                 coeffs = {m: 1 for m in w1.terms}
                 for i in range(n):
                     e = tuple(1 if k == i else 0 for k in range(n))
-                    assert coeffs.get(e, 0) == a.row_parity(i)
+                    assert coeffs.get(e, 0) == sum(a.rows[i]) & 1
 
 
 class TestKahler:
@@ -280,7 +278,6 @@ class TestKahler:
         pairing = is_kahler(sixdim_bott)
         assert pairing is not None
         assert pairing.pairs == ((0, 1), (2, 3), (4, 5))
-        assert pairing.representatives == (0, 2, 4)
 
     def test_klein_bottle_absent(self, klein_bottle):
         assert is_kahler(klein_bottle) is None
@@ -305,26 +302,25 @@ class TestKahler:
 
 class TestSpin:
     def test_sixdim_not_spin(self, sixdim_bott):
-        spin, w1, w2 = spin_general(sixdim_bott)
+        spin, w1, w2 = spin_membership(sixdim_bott)
         assert not spin
         assert w1.is_zero
         assert str(w2) == "x3^2 + x4^2"
 
     def test_membership_accepts_bott_or_p(self):
-        assert spin_general is spin_membership
         for n in (1, 2, 3, 4):
             for a in enumerate_bott(n):
                 assert spin_membership(a) == spin_membership(bott_to_p(a))
 
     def test_torus_spin(self):
         for n in (1, 2, 3, 4, 6):
-            spin, _, w2 = spin_general(zero_bott(n))
+            spin, _, w2 = spin_membership(zero_bott(n))
             assert spin and w2.is_zero
 
     def test_identical_columns_family_even_k(self):
         a = identical_columns_matrix(6, 2)
         assert a.rows[0] == (0, 0, 1, 1, 1, 1)
-        spin, _, _ = spin_general(a)
+        spin, _, _ = spin_membership(a)
         assert spin
 
     def test_closed_form_sixdim(self, sixdim_bott):
@@ -347,26 +343,25 @@ class TestSpin:
         pairing = is_kahler(a)
         spin, s_vector = spin_kahler_closed_form(a, pairing)
         assert spin and s_vector == (0,) * 6
-        general, _, _ = spin_general(a)
+        general, _, _ = spin_membership(a)
         assert general == spin
 
     def test_closed_form_representative_independence(self, sixdim_bott):
         pairing = is_kahler(sixdim_bott)
         results = set()
         for choice in itertools.product(*pairing.pairs):
-            results.add(spin_kahler_closed_form(sixdim_bott, pairing, choice))
+            # each chosen representative first in its pair
+            pairs = tuple((r, i + j - r) for r, (i, j) in zip(choice, pairing.pairs))
+            results.add(spin_kahler_closed_form(sixdim_bott, KahlerPairing(pairs)))
         assert len(results) == 1
 
     def test_closed_form_validates_pairing(self, sixdim_bott, klein_bottle):
-        bad = KahlerPairing(pairs=((0, 2), (1, 3), (4, 5)), representatives=(0, 1, 4))
+        bad = KahlerPairing(pairs=((0, 2), (1, 3), (4, 5)))
         with pytest.raises(ValueError, match="columns"):
             spin_kahler_closed_form(sixdim_bott, bad)
-        partial = KahlerPairing(pairs=((0, 1),), representatives=(0,))
+        partial = KahlerPairing(pairs=((0, 1),))
         with pytest.raises(ValueError, match="cover"):
             spin_kahler_closed_form(sixdim_bott, partial)
-        pairing = is_kahler(sixdim_bott)
-        with pytest.raises(ValueError, match="representative"):
-            spin_kahler_closed_form(sixdim_bott, pairing, (0, 2, 3))
 
     def test_square_membership_iff_zero_column(self):
         for n in (1, 2, 3, 4):
@@ -380,15 +375,15 @@ class TestSpin:
     def test_odd_k_family_membership_consistency(self):
         # 2k equal columns with k odd and a supporting row whose own
         # column is nonzero: w2 = L^2 survives reduction, so no Spin;
-        # the point is only that the membership route and spin_general
-        # stay in lockstep.
+        # the point is only that spin_membership and a direct membership
+        # check stay in lockstep.
         for n, k in ((6, 1), (8, 3)):
             rows = [[0] * n for _ in range(n)]
             rows[0][1] = 1  # column 2 nonzero, supported by row 1
             for j in range(n - 2 * k, n):
                 rows[1][j] = 1
             a = BottMatrix(tuple(tuple(r) for r in rows))
-            spin, w1, w2 = spin_general(a)
+            spin, w1, w2 = spin_membership(a)
             basis = characteristic_ideal(bott_to_p(a))
             expected_w2 = GradedPolyF2(
                 n, [tuple(2 if i == 1 else 0 for i in range(n))]
@@ -437,7 +432,7 @@ class TestAnalyze:
         # ever returns a different verdict
         import realbott.bottcore as bottcore_mod
 
-        def sabotaged(a, pairing, representatives=None):
+        def sabotaged(a, pairing):
             return True, (0,) * a.n
 
         monkeypatch.setattr(bottcore_mod, "spin_kahler_closed_form", sabotaged)
@@ -574,3 +569,29 @@ class TestBottPathConstants:
         assert scans_match_constants(a)
         rep = analyze(a)
         assert rep.free and not rep.holonomy_full
+
+
+def has_bott_shape(p: PMatrix) -> bool:
+    """Square, diagonal 1, 0 or 2 above the diagonal, 0 below it."""
+    return p.d == p.n and all(
+        (e == 1) if i == j else (e in (0, 2)) if i < j else (e == 0)
+        for i, row in enumerate(p.rows)
+        for j, e in enumerate(row)
+    )
+
+
+class TestPmatrixToBottTwin:
+    """pmatrix_to_bott against a direct shape predicate, one entry mutated."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bott_matrices(max_n=6), st.data())
+    def test_one_entry_mutation(self, a, data):
+        rows = [list(row) for row in bott_to_p(a).rows]
+        i = data.draw(st.integers(0, a.n - 1))
+        j = data.draw(st.integers(0, a.n - 1))
+        rows[i][j] = data.draw(st.integers(0, 3))
+        p = PMatrix(tuple(map(tuple, rows)))
+        b = pmatrix_to_bott(p)
+        assert (b is not None) == has_bott_shape(p)
+        if b is not None:
+            assert bott_to_p(b) == p

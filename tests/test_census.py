@@ -1,5 +1,7 @@
 """Tests for the exhaustive census layer."""
 
+from collections import Counter
+
 import pytest
 
 from realbott import (
@@ -98,24 +100,35 @@ class TestRunCensus:
         assert len(kahler_spin) == row.kahler_and_spin == 6
 
     def test_chunk_sums_match_single_range(self):
-        # run_census adds per-chunk counts and concatenates per-chunk
-        # listings; any contiguous split must give the same row and order
+        # run_census adds per-chunk verdict tallies and concatenates
+        # per-chunk listings; any contiguous split must give the same
+        # tally and order
         n, total = 4, 1 << cell_count(4)
         results = {}
         for chunks in (1, 3, 8):
             bounds = [(total * c) // chunks for c in range(chunks + 1)]
-            counts = dict.fromkeys(census_mod._COUNT_FIELDS, 0)
+            tally = Counter()
             emitted = []
             for start, stop in zip(bounds, bounds[1:]):
                 part, lines, offender = _classify_range(n, start, stop, False, True)
                 assert offender is None
-                for key, value in part.items():
-                    counts[key] += value
+                tally.update(part)
                 emitted.extend(lines)
-            results[chunks] = (CensusRow(n=n, **counts), emitted)
+            results[chunks] = (tally, emitted)
         assert results[1] == results[3] == results[8]
-        assert results[1][0] == run_census(CensusConfig(n=4))[0]
+        reports = [analyze(a) for a in enumerate_bott(n)]
+        assert results[1][0] == Counter(
+            (r.orientable, r.kahler is not None, r.spin) for r in reports
+        )
+        assert sum(results[1][0].values()) == run_census(CensusConfig(n=4))[0].total
         assert results[1][1] == [matrix_at(4, i).to_line() for i in range(total)]
+
+    def test_emit_guard_allows_n7(self, monkeypatch):
+        # the guard refuses n >= 8 (see test_cli); n = 7 still classifies
+        one = (Counter({(True, False, True): 1}), ["line"], None)
+        monkeypatch.setattr(census_mod, "_classify_range", lambda *args: one)
+        row, emitted = run_census(CensusConfig(n=7, emit_matrices=True))
+        assert (row.total, row.spin, emitted) == (1, 1, ["line"])
 
     def test_emit_order_stable_across_workers(self):
         _, serial = run_census(CensusConfig(n=4, emit_matrices=True))
@@ -250,8 +263,8 @@ class TestWorkerCap:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return [fn(job) for job in jobs]
+            def map(self, fn, *iterables):
+                return list(map(fn, *iterables))
 
         monkeypatch.setattr(census_mod, "ProcessPoolExecutor", RecordingPool)
         return sizes

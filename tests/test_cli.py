@@ -6,6 +6,7 @@ import pytest
 
 import realbott.census as census_mod
 import realbott.cli as cli_mod
+import realbott.euclid as euclid_mod
 from realbott import InconsistencyError, analyze, matrix_at, parse_bott
 from realbott.cli import main
 
@@ -224,6 +225,18 @@ class TestCensus:
         assert code == 2
         assert "error" in err
 
+    def test_emit_n8_exit_2(self, capsys, monkeypatch):
+        # at n = 8 the listing would be 2^28 lines held in memory; the
+        # guard must fire before any range is classified
+        def never(*args):
+            raise AssertionError("_classify_range ran past the --emit guard")
+
+        monkeypatch.setattr(census_mod, "_classify_range", never)
+        code, out, err = run(capsys, "census", "-n", "8", "--emit")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: size guard exceeded")
+
 
 class TestVerify:
     def test_exhaustive_n4(self, capsys):
@@ -304,6 +317,20 @@ class TestVerify:
             "kernel and motions disagree on 001111/001111/000011/000011/000000/000000: "
             "orientable = True against False",
         ]
+
+    def test_single_file_size_guard_exit_2(self, capsys, tmp_path, monkeypatch):
+        # the motion oracle keeps 2^n motions; n = 21 must be refused
+        # before any of them is built
+        def never(gens):
+            raise AssertionError("subset_motions ran past the size guard")
+
+        monkeypatch.setattr(euclid_mod, "subset_motions", never)
+        path = tmp_path / "zero21.txt"
+        path.write_text("\n".join(["0" * 21] * 21) + "\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: size guard exceeded")
 
     def test_requires_target(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

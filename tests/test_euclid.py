@@ -16,7 +16,6 @@ from realbott import (
     enumerate_bott,
     free_at_subset,
     generators,
-    holonomy_matrix,
     matrix_at,
     orientable_by_motions,
     parse_bott,
@@ -126,13 +125,13 @@ class TestActsFreely:
 
 class TestHolonomyMatrix:
     def test_empty_subset(self, sixdim_bott):
-        assert holonomy_matrix(sixdim_bott, ()) == (1,) * 6
+        assert element_of(sixdim_bott, ()).signs == (1,) * 6
 
     def test_klein_bottle(self, klein_bottle):
-        assert holonomy_matrix(klein_bottle, [0]) == (1, -1)
+        assert element_of(klein_bottle, [0]).signs == (1, -1)
 
     def test_sixdim_first_row(self, sixdim_bott):
-        assert holonomy_matrix(sixdim_bott, [0]) == (1, 1, -1, -1, -1, -1)
+        assert element_of(sixdim_bott, [0]).signs == (1, 1, -1, -1, -1, -1)
 
     def test_matches_cocycle_prediction(self):
         for n in (1, 2, 3):
@@ -144,7 +143,7 @@ class TestHolonomyMatrix:
                         -1 if (alphas[j] + betas[j]).evaluate(mask) else 1
                         for j in range(n)
                     )
-                    assert holonomy_matrix(a, subset) == predicted
+                    assert element_of(a, subset).signs == predicted
 
 
 def subset_of(mask: int, n: int) -> list[int]:
@@ -197,6 +196,22 @@ class TestSubsetMotions:
         assert len(problems) == 2
         assert "subset 0x20:" in problems[0]
         assert "subset 0x3f:" in problems[1]
+
+
+class TestSizeGuard:
+    def test_limit_is_inclusive(self, monkeypatch):
+        # subset_motions is stubbed, so no 2^n motions are ever built
+        class Reached(Exception):
+            pass
+
+        def spy(gens):
+            raise Reached(len(gens))
+
+        monkeypatch.setattr(euclid_mod, "subset_motions", spy)
+        with pytest.raises(Reached):
+            check_against_rows(zero_bott(euclid_mod.MAX_MOTION_DIM))
+        with pytest.raises(ValueError, match="size guard"):
+            check_against_rows(zero_bott(euclid_mod.MAX_MOTION_DIM + 1))
 
 
 class TestOrientableByMotions:
