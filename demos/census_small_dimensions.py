@@ -1,7 +1,8 @@
 """Walkthrough: exhaustive censuses of Bott matrices at small dimension.
 
-Streams every strictly upper-triangular 0/1 matrix up to n = 6,
-classifies each one, and tabulates how many are orientable, Kahler, and
+Counts every strictly upper-triangular 0/1 matrix up to n = 6 and
+tabulates how many are orientable, Kahler, and Spin; a plain census
+classifies only the orientable ones, since no other matrix is Kahler or
 Spin.  Also lists the Kahler-but-not-Spin population at n = 6, the
 smallest dimension where it is nonempty.
 

@@ -1,9 +1,21 @@
 """Exhaustive census of Bott matrices at small dimension.
 
-The n*(n-1)/2 free cells of a strictly upper-triangular matrix, read
+The m = n*(n-1)/2 free cells of a strictly upper-triangular matrix, read
 row-major, form a binary counter (first cell = most significant bit), so
 matrices are addressable by index and the whole space streams without
-materialization.  Classification is embarrassingly parallel: the index
+materialization.
+
+Spin needs w1 = 0, and Kahler implies orientable (paired equal columns
+make every row weight even), so a non-orientable matrix only ever adds
+to the total.  The plain census therefore walks the orientable space
+alone: row i <= n-2 contributes its first n-2-i cells as free bits, and
+its cell in column n-1 is the parity of those bits.  That space has
+2^(m-(n-1)) matrices, and the other 2^m - 2^(m-(n-1)) are counted as
+non-orientable without being decoded.  Listing (emit) and the oracle
+cross-checks must see every matrix, so they walk the full space, which
+is also the twin the tests compare the orientable walk against.
+
+Classification is embarrassingly parallel in either space: the index
 range splits into contiguous chunks, each chunk is classified on its
 own, and counts combine by addition, which makes the totals independent
 of chunking and worker count.
@@ -16,7 +28,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .bottcore import BottMatrix, InconsistencyError, analyze, bott_verdicts, mask_line
 from .euclid import check_against_rows, orientable_by_motions
@@ -33,11 +45,13 @@ __all__ = [
     "run_census",
 ]
 
-# Size guard: n = 8 has 28 free cells (2^28 = 268 million matrices), about
-# half an hour on one core at the kernel's n = 8 rate of about 158,000
-# matrices/s; n = 9 (2^36) would take at least five days, since the
-# per-matrix cost grows with n.
-MAX_CELLS = 28
+# Size guard: a walk enumerates at most 2^28 (268 million) matrices.  The
+# orientable walk takes about 19 s on one core for the 2^21 matrices of
+# n = 8, so n = 9 (2^28 of its 2^36 matrices) should take at least 40
+# minutes, as the per-matrix cost grows with n; n = 10 (2^36) is refused.
+# The full walk, and with it matrix_at, enumerate_bott, --emit,
+# --check-oracles and verify -n, stops at n = 8 (28 free cells).
+MAX_WALK_BITS = 28
 # --emit holds every listed line in memory until the census ends: at
 # n = 8 that is 2^28 lines of 71 characters, about 34 GB.
 MAX_EMIT_N = 7
@@ -81,9 +95,11 @@ class CensusConfig:
     cross_check: analyze must match the kernel's verdicts, its two Spin
     deciders must agree on Kahler inputs, and the Euclidean-motion
     oracle must agree with the row calculus; the first disagreement
-    (smallest index) aborts the run with a reproducer.  run_census
-    clamps workers to the number of matrices and of usable CPUs, and
-    refuses emit_matrices above n = MAX_EMIT_N.
+    (smallest index) aborts the run with a reproducer.  Either flag
+    makes run_census walk the full space, else it walks the orientable
+    space alone.  run_census clamps workers to the number of matrices it
+    walks and of usable CPUs, and refuses emit_matrices above
+    n = MAX_EMIT_N.
     """
 
     n: int
@@ -96,15 +112,18 @@ def cell_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _check_size(n: int) -> int:
+def _check_size(n: int, orientable_only: bool = False) -> int:
+    """Index bits of the full space of n, or of its orientable space."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    m = cell_count(n)
-    if m > MAX_CELLS:
+    bits = cell_count(n - 1) if orientable_only else cell_count(n)
+    if bits > MAX_WALK_BITS:
+        space = " in its orientable space" if orientable_only else ""
         raise ValueError(
-            f"size guard exceeded: n={n} has {m} free cells, limit is {MAX_CELLS}"
+            f"size guard exceeded: n={n} has {bits} free cells{space}, "
+            f"limit is {MAX_WALK_BITS}"
         )
-    return m
+    return bits
 
 
 @lru_cache(maxsize=None)
@@ -131,22 +150,40 @@ def enumerate_bott(n: int) -> Iterator[BottMatrix]:
 
 
 @lru_cache(maxsize=None)
-def _row_layout(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+def _row_layout(
+    n: int, orientable_only: bool
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """How an index splits into row masks: ((shift, field mask) per row, table).
 
-    Row i's n-1-i cells form one bit field of the index, its first cell
-    (column i+1) most significant, so bit b of every field is column
-    n-1-b.  One table, the n-bit reversal of each value below 2^(n-1),
-    therefore maps the field of any row width to its row mask.
+    In the full space row i's n-1-i cells form one bit field of the
+    index, its first cell (column i+1) most significant, so bit b of
+    every field is column n-1-b.  One table, the n-bit reversal of each
+    value below 2^(n-1), therefore maps the field of any row width to its
+    row mask.  In the orientable space row i's field holds only its first
+    n-2-i cells, v, and the table maps v to the row mask of the full
+    field (v << 1) | parity(v): column n-1 completes an even row weight.
     """
+    drop = 1 if orientable_only else 0
     layout = []
-    shift = cell_count(n)
+    shift = cell_count(n - drop)
     for i in range(n):
-        width = n - 1 - i
+        width = max(0, n - 1 - i - drop)
         shift -= width
         layout.append((shift, (1 << width) - 1))
     table = tuple(int(format(v, f"0{n}b")[::-1], 2) for v in range(1 << (n - 1)))
+    if orientable_only:
+        table = tuple(
+            table[(v << 1) | (v.bit_count() & 1)] for v in range(1 << max(0, n - 2))
+        )
     return tuple(layout), table
+
+
+def _index_of(n: int, rows: Sequence[int]) -> int:
+    """The full-space index of the matrix with these row masks: matrix_at's inverse."""
+    layout, _ = _row_layout(n, False)
+    return sum(
+        int(format(r, f"0{n}b")[::-1], 2) << shift for r, (shift, _) in zip(rows, layout)
+    )
 
 
 def cross_check(a: BottMatrix, verdicts: tuple[bool, bool, bool]) -> list[str]:
@@ -184,14 +221,20 @@ def _classify_range(
     stop: int,
     check_oracles: bool,
     emit: bool,
+    orientable_only: bool,
 ) -> tuple[dict[tuple[bool, bool, bool], int], list[str], Optional[tuple[int, str, str]]]:
     """Classify one contiguous index range with bott_verdicts.
 
+    The range indexes the orientable space with orientable_only, else the
+    full space; run_census emits and cross-checks only the full space.
     With check_oracles, every matrix also goes through cross_check.
     Returns (tally of (orientable, kahler, spin) verdicts, emitted lines,
-    first offender or None); on an offender the range stops early.
+    first offender or None); on an offender the range stops early.  The
+    offender carries its full-space index in either space, so matrix_at
+    reproduces it; the orientable-to-full index map is increasing, so the
+    first offender of a range is the one with the smallest index.
     """
-    layout, table = _row_layout(n)
+    layout, table = _row_layout(n, orientable_only)
     # a plain dict: a Counter's += here made the n = 6 census about 9% slower
     tally: dict[tuple[bool, bool, bool], int] = {}
     emitted: list[str] = []
@@ -201,7 +244,7 @@ def _classify_range(
         try:
             verdicts = bott_verdicts(n, rows)
         except InconsistencyError as exc:
-            offender = (index, mask_line(n, rows), str(exc))
+            offender = (_index_of(n, rows), mask_line(n, rows), str(exc))
             break
         if check_oracles:
             a = matrix_at(n, index)
@@ -218,22 +261,26 @@ def _classify_range(
 def run_census(cfg: CensusConfig) -> tuple[CensusRow, list[str]]:
     """Classify the whole space for cfg.n; returns (counts, emitted lines).
 
-    Chunk boundaries and worker count never change the counts: chunks
-    are contiguous index ranges and results combine by addition, in
-    index order for the emitted listing.
+    Without emit_matrices and check_oracles only the orientable space is
+    walked, and every other matrix counts as non-orientable (neither
+    Kahler nor Spin).  Chunk boundaries and worker count never change
+    the counts: chunks are contiguous index ranges and results combine
+    by addition, in index order for the emitted listing.
     """
-    m = _check_size(cfg.n)
+    orientable_only = not (cfg.emit_matrices or cfg.check_oracles)
+    bits = _check_size(cfg.n, orientable_only)
     if cfg.emit_matrices and cfg.n > MAX_EMIT_N:
         raise ValueError(f"size guard exceeded: --emit is limited to n <= {MAX_EMIT_N}")
-    total = 1 << m
+    walked = 1 << bits
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cpus = os.cpu_count() or 1
-    workers = max(1, min(cfg.workers, total, cpus))
-    bounds = [(total * w) // workers for w in range(workers + 1)]
+    workers = max(1, min(cfg.workers, walked, cpus))
+    bounds = [(walked * w) // workers for w in range(workers + 1)]
+    modes = (cfg.check_oracles, cfg.emit_matrices, orientable_only)
     jobs = [
-        (cfg.n, bounds[w], bounds[w + 1], cfg.check_oracles, cfg.emit_matrices)
+        (cfg.n, bounds[w], bounds[w + 1], *modes)
         for w in range(workers)
         if bounds[w] < bounds[w + 1]
     ]
@@ -249,6 +296,8 @@ def run_census(cfg: CensusConfig) -> tuple[CensusRow, list[str]]:
         raise OracleDisagreementError(index, line, detail)
 
     tally = sum((Counter(part) for part, _, _ in results), Counter())
+    # what the orientable walk skipped has an odd row: neither Kahler nor Spin
+    tally[(False, False, False)] += (1 << cell_count(cfg.n)) - walked
     emitted = [line for _, lines, _ in results for line in lines]
     count = [0] * 6  # the CensusRow fields after n, in order
     for (orientable, kahler, spin), matrices in tally.items():

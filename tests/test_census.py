@@ -1,6 +1,8 @@
 """Tests for the exhaustive census layer."""
 
+import multiprocessing
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -58,6 +60,14 @@ class TestEnumeration:
             list(enumerate_bott(0))
 
 
+@pytest.fixture(scope="module")
+def full_walk_pool():
+    """Two workers for the full-space twin: n = 7 has 2^21 matrices."""
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=context) as executor:
+        yield executor
+
+
 class TestRunCensus:
     def test_n2_counts(self):
         row, emitted = run_census(CensusConfig(n=2))
@@ -110,7 +120,7 @@ class TestRunCensus:
             tally = Counter()
             emitted = []
             for start, stop in zip(bounds, bounds[1:]):
-                part, lines, offender = _classify_range(n, start, stop, False, True)
+                part, lines, offender = _classify_range(n, start, stop, False, True, False)
                 assert offender is None
                 tally.update(part)
                 emitted.extend(lines)
@@ -130,6 +140,31 @@ class TestRunCensus:
         row, emitted = run_census(CensusConfig(n=7, emit_matrices=True))
         assert (row.total, row.spin, emitted) == (1, 1, ["line"])
 
+    def test_plain_guard_allows_n9(self, monkeypatch):
+        # 2^28 orientable matrices of 2^36; the walk itself is stubbed
+        calls = []
+
+        def stub(*args):
+            calls.append(args)
+            return {(True, False, True): 1 << 28}, [], None
+
+        monkeypatch.setattr(census_mod, "_classify_range", stub)
+        row, _ = run_census(CensusConfig(n=9))
+        assert calls == [(9, 0, 1 << 28, False, False, True)]
+        assert (row.total, row.orientable, row.spin) == (1 << 36, 1 << 28, 1 << 28)
+
+    @pytest.mark.parametrize(
+        "cfg", [CensusConfig(n=10), CensusConfig(n=9, check_oracles=True)]
+    )
+    def test_guard_refuses_before_any_walk(self, monkeypatch, cfg):
+        # the orientable walk stops at n = 9, the full walk at n = 8
+        def never(*args):
+            raise AssertionError("_classify_range ran past the size guard")
+
+        monkeypatch.setattr(census_mod, "_classify_range", never)
+        with pytest.raises(ValueError, match="size guard"):
+            run_census(cfg)
+
     def test_emit_order_stable_across_workers(self):
         _, serial = run_census(CensusConfig(n=4, emit_matrices=True))
         _, parallel = run_census(CensusConfig(n=4, emit_matrices=True, workers=4))
@@ -141,12 +176,92 @@ class TestRunCensus:
             assert row.total == 1 << cell_count(n)
 
     def test_index_decodes_to_matrix_at_rows(self):
-        # the plain path reads row masks straight from the index
+        # the full walk reads row masks straight from the index
         for n in range(1, 7):
-            layout, table = census_mod._row_layout(n)
+            layout, table = census_mod._row_layout(n, False)
             for index in range(1 << cell_count(n)):
                 rows = tuple(table[(index >> shift) & mask] for shift, mask in layout)
                 assert rows == matrix_at(n, index).row_masks
+
+    def test_orientable_index_map(self):
+        # spelled out from the definition: row i <= n-2 takes its first
+        # n-2-i cells from the orientable index and its last cell is
+        # their parity; the map must decode like matrix_at, increase
+        # strictly and hit exactly the orientable full-space indices;
+        # _index_of, which names offenders, must invert it
+        for n in range(1, 7):
+            widths = [n - 2 - i for i in range(n - 1)]
+            bits = sum(widths)
+            layout, table = census_mod._row_layout(n, True)
+            images = []
+            for index in range(1 << bits):
+                digits = format(index, f"0{bits}b") if bits else ""
+                full = ""
+                for width in widths:
+                    field, digits = digits[:width], digits[width:]
+                    full += field + str(field.count("1") % 2)
+                images.append(int(full or "0", 2))
+                rows = tuple(table[(index >> shift) & mask] for shift, mask in layout)
+                assert rows == matrix_at(n, images[-1]).row_masks
+                assert census_mod._index_of(n, rows) == images[-1]
+            assert all(a < b for a, b in zip(images, images[1:]))
+            full_layout, full_table = census_mod._row_layout(n, False)
+            orientable = [
+                index
+                for index in range(1 << cell_count(n))
+                if not any(
+                    full_table[(index >> shift) & mask].bit_count() & 1
+                    for shift, mask in full_layout
+                )
+            ]
+            assert images == orientable
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_orientable_walk_matches_full_walk(self, full_walk_pool, n):
+        # the full walk is the twin: same kernel verdicts per class, and
+        # everything the orientable walk skips is non-orientable
+        total = 1 << cell_count(n)
+        bounds = [total * k // 4 for k in range(5)]
+        jobs = [(n, lo, hi, False, False, False) for lo, hi in zip(bounds, bounds[1:])]
+        full = Counter()
+        for part, lines, offender in full_walk_pool.map(_classify_range, *zip(*jobs)):
+            assert (lines, offender) == ([], None)
+            full.update(part)
+        walked = 1 << cell_count(n - 1)
+        part, _, offender = _classify_range(n, 0, walked, False, False, True)
+        assert offender is None
+        assert all(orientable for orientable, _, _ in part)
+        assert Counter(part) + Counter({(False, False, False): total - walked}) == full
+
+    def test_plain_walk_skips_non_orientable(self, monkeypatch):
+        # on the plain walk the kernel sees each orientable matrix once,
+        # in index order, and nothing else
+        seen = []
+        real_kernel = census_mod.bott_verdicts
+
+        def spy(n, rows):
+            seen.append(tuple(rows))
+            return real_kernel(n, rows)
+
+        monkeypatch.setattr(census_mod, "bott_verdicts", spy)
+        for n in range(1, 6):
+            seen.clear()
+            row, _ = run_census(CensusConfig(n=n))
+            orientable = [
+                a.row_masks
+                for a in enumerate_bott(n)
+                if not any(r.bit_count() & 1 for r in a.row_masks)
+            ]
+            assert seen == orientable
+            assert row.orientable == len(orientable) == 1 << cell_count(n - 1)
+        # listing and the oracle cross-checks still see every matrix
+        for cfg in (
+            CensusConfig(n=4, emit_matrices=True),
+            CensusConfig(n=4, check_oracles=True),
+        ):
+            seen.clear()
+            run_census(cfg)
+            assert seen == [a.row_masks for a in enumerate_bott(4)]
 
     @pytest.mark.parametrize(
         "csv",
@@ -174,15 +289,22 @@ class TestRunCensus:
 
 class TestDisagreementAbort:
     """A sabotaged route must abort the census at the smallest offending
-    index, with its serialized reproducer."""
+    index, with its serialized reproducer.
+
+    The plain census walks only the orientable matrices, so sabotage on
+    that path targets two orientable n = 4 matrices, listed largest
+    first: full indices 40 and 30 (orientable indices 4 and 3), so the
+    reproducer must carry the full index, not the walk's own.
+    """
 
     bad = (5, 2)
+    bad_orientable = (40, 30)
 
-    def assert_aborts_at_2(self, cfg, detail):
+    def assert_aborts_at(self, cfg, index, detail):
         with pytest.raises(OracleDisagreementError) as excinfo:
             run_census(cfg)
-        assert excinfo.value.index == 2
-        assert excinfo.value.line == matrix_at(3, 2).to_line()
+        assert excinfo.value.index == index
+        assert excinfo.value.line == matrix_at(cfg.n, index).to_line()
         assert detail in excinfo.value.detail
 
     def test_reproducer_carries_smallest_index(self, monkeypatch):
@@ -197,10 +319,11 @@ class TestDisagreementAbort:
 
         monkeypatch.setattr(census_mod, "analyze", sabotaged)
         assert run_census(CensusConfig(n=3))[0].total == 8
-        self.assert_aborts_at_2(CensusConfig(n=3, check_oracles=True), "injected")
+        self.assert_aborts_at(CensusConfig(n=3, check_oracles=True), 2, "injected")
 
     def test_kernel_sabotage_on_plain_path(self, monkeypatch):
-        bad_masks = {matrix_at(3, i).row_masks for i in self.bad}
+        bad_masks = {matrix_at(4, i).row_masks for i in self.bad_orientable}
+        assert all(not any(r.bit_count() & 1 for r in rows) for rows in bad_masks)
         real_kernel = census_mod.bott_verdicts
 
         def sabotaged(n, rows):
@@ -209,12 +332,14 @@ class TestDisagreementAbort:
             return real_kernel(n, rows)
 
         monkeypatch.setattr(census_mod, "bott_verdicts", sabotaged)
-        self.assert_aborts_at_2(CensusConfig(n=3), "injected")
+        self.assert_aborts_at(CensusConfig(n=4), 30, "injected")
+        # the full walk (here for --emit) names the same index
+        self.assert_aborts_at(CensusConfig(n=4, emit_matrices=True), 30, "injected")
 
     def test_check_oracles_catches_wrong_kernel_verdict(self, monkeypatch):
         # a kernel that miscounts without raising passes the plain path;
         # under check_oracles analyze disagrees with it
-        bad_masks = {matrix_at(3, i).row_masks for i in self.bad}
+        bad_masks = {matrix_at(4, i).row_masks for i in self.bad_orientable}
         real_kernel = census_mod.bott_verdicts
 
         def flipped(n, rows):
@@ -222,10 +347,10 @@ class TestDisagreementAbort:
             return orientable, kahler, spin ^ (tuple(rows) in bad_masks)
 
         monkeypatch.setattr(census_mod, "bott_verdicts", flipped)
-        row, _ = run_census(CensusConfig(n=3))
-        assert row.spin == 2 + len(self.bad)
-        self.assert_aborts_at_2(
-            CensusConfig(n=3, check_oracles=True), "kernel and analyze disagree"
+        row, _ = run_census(CensusConfig(n=4))
+        assert row.spin == 8 - len(self.bad_orientable)  # both are Spin
+        self.assert_aborts_at(
+            CensusConfig(n=4, check_oracles=True), 30, "kernel and analyze disagree"
         )
 
     def test_check_oracles_runs_orientability_route(self, monkeypatch):
@@ -238,8 +363,8 @@ class TestDisagreementAbort:
 
         monkeypatch.setattr(census_mod, "orientable_by_motions", flipped)
         assert run_census(CensusConfig(n=3))[0].total == 8
-        self.assert_aborts_at_2(
-            CensusConfig(n=3, check_oracles=True), "kernel and motions disagree"
+        self.assert_aborts_at(
+            CensusConfig(n=3, check_oracles=True), 2, "kernel and motions disagree"
         )
 
 
@@ -274,7 +399,9 @@ class TestWorkerCap:
         row, _ = run_census(CensusConfig(n=4, workers=10_000))
         assert pool_sizes == [3]
         assert row == run_census(CensusConfig(n=4))[0]
-        run_census(CensusConfig(n=2, workers=10_000))  # 2 matrices
+        run_census(CensusConfig(n=2, workers=10_000))  # 1 orientable matrix
+        assert pool_sizes == [3]
+        run_census(CensusConfig(n=2, workers=10_000, emit_matrices=True))  # 2 matrices
         assert pool_sizes == [3, 2]
 
     def test_no_cap(self, monkeypatch, pool_sizes):

@@ -237,6 +237,24 @@ class TestCensus:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: size guard exceeded")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["census", "-n", "10"],  # 2^36 orientable matrices
+            ["census", "-n", "9", "--check-oracles"],  # 2^36 matrices, full walk
+            ["verify", "-n", "9"],
+        ],
+    )
+    def test_walk_guard_exit_2(self, capsys, monkeypatch, argv):
+        def never(*args):
+            raise AssertionError("_classify_range ran past the size guard")
+
+        monkeypatch.setattr(census_mod, "_classify_range", never)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: size guard exceeded")
+
 
 class TestVerify:
     def test_exhaustive_n4(self, capsys):
