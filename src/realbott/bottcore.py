@@ -18,7 +18,10 @@ theta_j = alpha_j * beta_j span the degree-2 piece of the characteristic
 ideal of the action, and the product of all (1 + alpha_j + beta_j) is a
 lift of the total Stiefel-Whitney class of the quotient manifold.  Its
 degree-1 part decides orientability and, together with ideal membership
-of the degree-2 part, the existence of a Spin structure.
+of the degree-2 part, the existence of a Spin structure.  The deciders
+keep forms as int masks (bit i for x_{i+1}, quadratics in encode_degree2
+coordinates) and expand the product only to degree 2; GradedPolyF2
+renders results and serves sw_class at higher degree.
 
 A real Bott manifold carries a Kahler structure exactly when the columns
 of A partition into equal pairs (Ishida's criterion); in that case Spin
@@ -37,8 +40,10 @@ from .f2poly import (
     F2Matrix,
     GradedPolyF2,
     LinearFormF2,
+    decode_degree2,
     degree2_count,
     encode_degree2,
+    mul_linear,
     truncated_product,
 )
 
@@ -236,10 +241,8 @@ def parse_pmatrix(text: str) -> PMatrix:
 
 def bott_to_p(a: BottMatrix) -> PMatrix:
     """P-matrix of a Bott matrix: 1 on the diagonal, 2 where a_ij = 1."""
-    n = a.n
     rows = tuple(
-        tuple(1 if i == j else (2 if j > i and a.rows[i][j] else 0) for j in range(n))
-        for i in range(n)
+        tuple(1 if i == j else 2 * e for j, e in enumerate(row)) for i, row in enumerate(a.rows)
     )
     return PMatrix(rows)
 
@@ -252,9 +255,8 @@ def pmatrix_to_bott(p: PMatrix) -> Optional[BottMatrix]:
     """
     if p.d != p.n:
         return None
-    n = p.n
     a = BottMatrix(
-        tuple(tuple(int(j > i and p.rows[i][j] == 2) for j in range(n)) for i in range(n))
+        tuple(tuple(int(j > i and e == 2) for j, e in enumerate(r)) for i, r in enumerate(p.rows))
     )
     return a if bott_to_p(a) == p else None
 
@@ -301,20 +303,26 @@ def has_full_holonomy(p: PMatrix) -> bool:
     return all(am ^ bm for am, bm in zip(p.alpha_masks, p.beta_masks))
 
 
+def _column_masks(p: PMatrix) -> tuple[list[int], list[int]]:
+    """The masks of alpha_j and beta_j per column j, bit i for x_{i+1}."""
+    alphas = [0] * p.n
+    betas = [0] * p.n
+    for i, row in enumerate(p.rows):
+        for j, e in enumerate(row):
+            if e:
+                alphas[j] |= _ALPHA[e] << i
+                betas[j] |= _BETA[e] << i
+    return alphas, betas
+
+
 def cocycles(p: PMatrix) -> tuple[tuple[LinearFormF2, ...], tuple[LinearFormF2, ...]]:
     """Column-wise linear forms (alpha_j, beta_j) over x_1..x_d."""
-    d = p.d
-    alphas = []
-    betas = []
-    for j in range(p.n):
-        am = bm = 0
-        for i in range(d):
-            e = p.rows[i][j]
-            am |= _ALPHA[e] << i
-            bm |= _BETA[e] << i
-        alphas.append(LinearFormF2(d, am))
-        betas.append(LinearFormF2(d, bm))
-    return tuple(alphas), tuple(betas)
+    return tuple(tuple(LinearFormF2(p.d, m) for m in ms) for ms in _column_masks(p))
+
+
+def _theta_matrix(d: int, alphas: list[int], betas: list[int]) -> F2Matrix:
+    """The encode_degree2 masks of theta_j = alpha_j * beta_j, one row each."""
+    return F2Matrix((mul_linear(d, a, b) for a, b in zip(alphas, betas)), degree2_count(d))
 
 
 @dataclass(frozen=True)
@@ -339,9 +347,8 @@ def characteristic_ideal(p: PMatrix) -> IdealDegree2Basis:
     For a Bott-shaped P the formula collapses to
     theta_j = x_j^2 + sum_{i<j} a_ij * x_i * x_j.
     """
-    alphas, betas = cocycles(p)
-    thetas = tuple(a * b for a, b in zip(alphas, betas))
-    m = F2Matrix((encode_degree2(t) for t in thetas), degree2_count(p.d))
+    m = _theta_matrix(p.d, *_column_masks(p))
+    thetas = tuple(decode_degree2(p.d, t) for t in m.rows)
     return IdealDegree2Basis(thetas=thetas, reduced=m.rref())
 
 
@@ -373,12 +380,11 @@ def is_kahler(a: BottMatrix) -> Optional[KahlerPairing]:
     within each class, so the smaller index of each pair comes first.
     Any other pairing of equal columns is equivalent.
     """
-    n = a.n
-    if n % 2:
+    if a.n % 2:
         return None
     groups: dict[tuple[int, ...], list[int]] = {}
-    for j in range(n):
-        groups.setdefault(a.column(j), []).append(j)
+    for j, column in enumerate(zip(*a.rows)):
+        groups.setdefault(column, []).append(j)
     classes = sorted(groups.values(), key=lambda g: g[0])
     if any(len(g) % 2 for g in classes):
         return None
@@ -390,14 +396,19 @@ def spin_membership(m: BottMatrix | PMatrix) -> tuple[bool, GradedPolyF2, Graded
     """General Spin test for any Bott matrix or P-matrix: (verdict, w1, raw w2).
 
     Spin requires w1 = 0 (orientability) and the raw degree-2 part of
-    the Stiefel-Whitney product to lie in the span of the theta_j.
+    the Stiefel-Whitney product to lie in the span of the theta_j.  On
+    masks, factor 1 + c_j (c_j = alpha_j + beta_j) adds c_j to w1 and
+    (w1 so far) * c_j to w2; membership row-reduces the theta_j masks.
     """
     p = bott_to_p(m) if isinstance(m, BottMatrix) else m
-    w = sw_class(p, 2)
-    w1 = w.graded_component(1)
-    w2 = w.graded_component(2)
-    spin = w1.is_zero and characteristic_ideal(p).contains(w2)
-    return spin, w1, w2
+    d = p.d
+    alphas, betas = _column_masks(p)
+    w1 = w2 = 0
+    for a, b in zip(alphas, betas):
+        w2 ^= mul_linear(d, w1, a ^ b)
+        w1 ^= a ^ b
+    spin = not w1 and _theta_matrix(d, alphas, betas).in_row_space(w2)
+    return spin, LinearFormF2(d, w1).as_poly(), decode_degree2(d, w2)
 
 
 def _validate_pairing(a: BottMatrix, pairing: KahlerPairing) -> None:

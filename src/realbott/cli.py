@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -101,11 +102,8 @@ def _print_report(report: dict, as_json: bool) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     text = _read(args.path)
-    if args.pmat:
-        p = parse_pmatrix(text)
-        a = pmatrix_to_bott(p)
-    else:
-        a = parse_bott(text)
+    p = parse_pmatrix(text) if args.pmat else None
+    a = parse_bott(text) if p is None else pmatrix_to_bott(p)
     if a is not None:
         report = _report(analyze(a), bott=True)
     else:
@@ -206,6 +204,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if not problems else 1
 
 
+@cache  # built on the first main() call; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="realbott",

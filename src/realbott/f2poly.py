@@ -6,10 +6,10 @@ polynomial is the empty set.  Monomials are exponent tuples of a fixed
 length (one slot per variable) and sort in graded lexicographic order,
 degree first.
 
-The module also carries the small amount of GF(2) linear algebra needed
-on graded pieces: row reduction of bitmask matrices, row-space
-membership, and a fixed coordinate system for the homogeneous degree-2
-monomials (pairs x_i*x_j with i <= j in lex order, d*(d+1)/2 columns).
+The module also carries the GF(2) linear algebra needed on graded
+pieces: row reduction of bitmask matrices, row-space membership, and a
+fixed coordinate system for homogeneous quadratics (x_i*x_j, i <= j, in
+lex order), in which mul_linear multiplies two linear-form masks.
 
 Bit conventions: an ``F2Matrix`` row is an int whose bit ``c`` is the
 entry in column ``c``; a ``LinearFormF2`` coefficient mask has bit ``i``
@@ -20,7 +20,8 @@ shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import cache
+from typing import Iterable, Sequence
 
 Monomial = tuple[int, ...]
 
@@ -262,54 +263,32 @@ class F2Matrix:
     def rref(self) -> F2Matrix:
         """Row-reduced echelon form; zero rows are dropped.
 
-        Pivots are chosen leftmost-first with rows scanned in order, so
-        the output is the canonical reduced basis of the row space and
-        its row count is the rank.
+        Each row is reduced by the basis so far; if anything is left, its
+        lowest bit becomes a new pivot, cleared from the other rows.
+        Sorted by pivot this is the canonical reduced basis of the row
+        space, and its row count is the rank.
         """
-        pending = list(self.rows)
-        reduced: list[int] = []
-        for col in range(self.ncols):
-            if not pending:
-                break
-            bit = 1 << col
-            pivot = None
-            for idx, r in enumerate(pending):
-                if r & bit:
-                    pivot = idx
-                    break
-            if pivot is None:
-                continue
-            prow = pending.pop(pivot)
-            pending = [r ^ prow if r & bit else r for r in pending]
-            reduced = [r ^ prow if r & bit else r for r in reduced]
-            reduced.append(prow)
-        return F2Matrix(reduced, self.ncols)
-
-    def _is_echelon(self) -> bool:
-        last = -1
+        basis: dict[int, int] = {}  # pivot bit -> row
         for r in self.rows:
-            if r == 0:
-                return False
-            p = (r & -r).bit_length() - 1
-            if p <= last:
-                return False
-            last = p
-        return True
-
-    def _echelon_or_reduce(self) -> F2Matrix:
-        return self if self._is_echelon() else self.rref()
+            for bit, row in basis.items():
+                if r & bit:
+                    r ^= row
+            if r:
+                low = r & -r
+                for bit, row in basis.items():
+                    if row & low:
+                        basis[bit] = row ^ r
+                basis[low] = r
+        return F2Matrix((basis[bit] for bit in sorted(basis)), self.ncols)
 
     def in_row_space(self, v: int) -> bool:
         """Whether v (bitmask) is a GF(2) combination of the rows."""
         if v < 0 or v >> self.ncols:
             raise ValueError(f"vector {v:#x} has bits beyond column {self.ncols - 1}")
-        for row in self._echelon_or_reduce().rows:
+        for row in self.rref().rows:
             if v & (row & -row):
                 v ^= row
         return v == 0
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, F2Matrix):
@@ -339,16 +318,14 @@ def degree2_index(num_vars: int, i: int, j: int) -> int:
     return i * num_vars - i * (i + 1) // 2 + j
 
 
-def degree2_monomials(num_vars: int) -> list[Monomial]:
-    """All degree-2 monomials in the column order of degree2_index."""
-    out = []
-    for i in range(num_vars):
-        for j in range(i, num_vars):
-            e = [0] * num_vars
-            e[i] += 1
-            e[j] += 1
-            out.append(tuple(e))
-    return out
+@cache
+def degree2_monomials(num_vars: int) -> tuple[Monomial, ...]:
+    """All degree-2 monomials in the column order of degree2_index; one table per d."""
+    return tuple(
+        tuple((k == i) + (k == j) for k in range(num_vars))
+        for i in range(num_vars)
+        for j in range(i, num_vars)
+    )
 
 
 def encode_degree2(p: GradedPolyF2) -> int:
@@ -357,11 +334,7 @@ def encode_degree2(p: GradedPolyF2) -> int:
     for m in p.terms:
         if sum(m) != 2:
             raise ValueError(f"monomial {m} is not of degree 2")
-        support = [i for i, e in enumerate(m) if e]
-        if len(support) == 1:
-            i = j = support[0]
-        else:
-            i, j = support
+        i, j = (k for k, e in enumerate(m) for _ in range(e))
         mask |= 1 << degree2_index(p.num_vars, i, j)
     return mask
 
@@ -373,3 +346,20 @@ def decode_degree2(num_vars: int, mask: int) -> GradedPolyF2:
     basis = degree2_monomials(num_vars)
     terms = [basis[c] for c in range(len(basis)) if (mask >> c) & 1]
     return GradedPolyF2._make(num_vars, frozenset(terms))
+
+
+def mul_linear(num_vars: int, f: int, g: int) -> int:
+    """encode_degree2 of the product of two linear forms given as masks.
+
+    In d = num_vars variables x_i^2 sits at column s_i = i*d - i*(i-1)/2
+    and x_i*x_j at s_i + j - i, so x_i times the part of a form at j >= i
+    is one shifted block.  Each x_i*x_j (i <= j) comes from f_i g_j, or
+    from g_i f_j with i < j.
+    """
+    out = 0
+    for a, b, strict in ((f, g, 0), (g, f, 1)):
+        while a:
+            i = (a & -a).bit_length() - 1
+            out ^= (b >> (i + strict)) << (i * num_vars - i * (i - 1) // 2 + strict)
+            a &= a - 1
+    return out

@@ -35,7 +35,7 @@ from realbott import (
     sw_class,
 )
 from realbott.bottcore import mask_line
-from realbott.f2poly import encode_degree2
+from realbott.f2poly import F2Matrix, LinearFormF2, degree2_count, encode_degree2
 
 from conftest import SIXDIM_BOTT_TEXT, SIXDIM_P_TEXT, zero_bott
 
@@ -513,8 +513,10 @@ def failures(job) -> list[str]:
 
 @pytest.fixture(scope="module")
 def pool():
-    """Two workers for the exhaustive twins: analyze on all 32,768 matrices
-    with n = 6 takes several seconds in one process."""
+    """Two workers for the three exhaustive twins.  On 2 vCPUs they took
+    8.5-10.6 s in all on this pool, spawn included, against 10-17 s in
+    one process; the frozenset side of the mask-route twin is 6-11 s of
+    that in one process."""
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=2, mp_context=context) as executor:
         yield executor
@@ -569,6 +571,77 @@ class TestBottPathConstants:
         assert scans_match_constants(a)
         rep = analyze(a)
         assert rep.free and not rep.holonomy_full
+
+
+# alpha and beta of the entries 0..3, as the bottcore module docstring defines them
+ALPHA = (0, 1, 1, 0)
+BETA = (0, 1, 0, 1)
+
+
+def entry_forms(p: PMatrix, table) -> tuple[LinearFormF2, ...]:
+    """One linear form per column, read straight off the entries."""
+    return tuple(
+        LinearFormF2(p.d, sum(table[row[j]] << i for i, row in enumerate(p.rows)))
+        for j in range(p.n)
+    )
+
+
+def mask_route_matches(m: BottMatrix | PMatrix) -> bool:
+    """spin_membership, on masks, against the frozenset polynomial route.
+
+    The frozenset route takes the graded pieces of sw_class, which
+    multiplies with truncated_product, and row-reduces the encoded
+    theta_j = alpha_j * beta_j, each a GradedPolyF2 product of forms read
+    straight off the entries.  Those forms must equal cocycles, which
+    sw_class reads, and the rendered w1 and w2 must agree too.
+    """
+    p = bott_to_p(m) if isinstance(m, BottMatrix) else m
+    alphas, betas = entry_forms(p, ALPHA), entry_forms(p, BETA)
+    w = sw_class(p, 2)
+    w1, w2 = w.graded_component(1), w.graded_component(2)
+    spin = w1.is_zero and F2Matrix(
+        (encode_degree2(a * b) for a, b in zip(alphas, betas)), degree2_count(p.d)
+    ).rref().in_row_space(encode_degree2(w2))
+    got = spin_membership(p)
+    return (
+        cocycles(p) == (alphas, betas)
+        and got == (spin, w1, w2)
+        and (str(got[1]), str(got[2])) == (str(w1), str(w2))
+    )
+
+
+@st.composite
+def rectangular_pmatrices(draw, max_d=8):
+    """d x n P-matrix with n != d, both at most max_d.  Half of the draws
+    are made orientable, so that ideal membership runs: a row with an odd
+    number of entries 2 or 3 has its last entry moved across (e ^ 2)."""
+    d = draw(st.integers(1, max_d))
+    n = draw(st.integers(1, max_d).filter(lambda k: k != d))
+    rows = [draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) for _ in range(d)]
+    if draw(st.booleans()):
+        for row in rows:
+            if sum(e >> 1 for e in row) % 2:
+                row[-1] ^= 2
+    return PMatrix(tuple(map(tuple, rows)))
+
+
+class TestMaskRouteTwin:
+    """spin_membership expands the Stiefel-Whitney product on masks; the
+    frozenset polynomial route is its twin."""
+
+    def test_exhaustive_n_le_6(self, pool):
+        assert exhaustive_failures(pool, mask_route_matches) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(rectangular_pmatrices())
+    def test_rectangular_pmatrices(self, p):
+        assert p.d != p.n
+        assert mask_route_matches(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bott_matrices(max_n=8))
+    def test_bott_shape(self, a):
+        assert mask_route_matches(bott_to_p(a))
 
 
 def has_bott_shape(p: PMatrix) -> bool:

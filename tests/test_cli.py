@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -8,6 +9,7 @@ import realbott.census as census_mod
 import realbott.cli as cli_mod
 import realbott.euclid as euclid_mod
 from realbott import InconsistencyError, analyze, matrix_at, parse_bott
+from realbott.census import CSV_HEADER
 from realbott.cli import main
 
 from conftest import KLEIN_TEXT, SIXDIM_BOTT_TEXT, SIXDIM_P_TEXT
@@ -38,6 +40,62 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+KLEIN_REPORT = {
+    "dimension": 2,
+    "free": True,
+    "holonomyFull": False,
+    "orientable": False,
+    "w1": "x1",
+    "w2": "0",
+    "kahler": False,
+    "pairing": None,
+    "sVector": None,
+    "spin": False,
+    "spinMethod": "general",
+}
+
+
+class TestParserBuiltOnce:
+    """main() builds its parser on the first call only, and no call leaves
+    state behind for the next."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Names of the top-level parsers built from here on."""
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def spy_init(parser, *args, **kwargs):
+            if kwargs.get("prog") == "realbott":
+                built.append(kwargs["prog"])
+            real_init(parser, *args, **kwargs)
+
+        cli_mod._build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
+        yield built
+        cli_mod._build_parser.cache_clear()
+
+    def test_usage_error_then_check(self, capsys, builds, klein_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["check"])
+        assert exc.value.code == 2
+        assert "usage: realbott check" in capsys.readouterr().err
+        code, out, _ = run(capsys, "check", "--json", klein_file)
+        assert code == 0 and json.loads(out) == KLEIN_REPORT
+        code, out, _ = run(capsys, "check", klein_file)
+        assert code == 0
+        assert out.splitlines()[4].split() == ["w1", "x1"]  # a table, not --json
+        assert builds == ["realbott"]
+
+    def test_csv_flag_does_not_stick(self, capsys, builds):
+        code, out, _ = run(capsys, "census", "-n", "3", "--csv")
+        assert code == 0 and out == f"{CSV_HEADER}\n3,8,2,0,2,0,0\n"
+        code, out, _ = run(capsys, "census", "-n", "3")
+        assert code == 0
+        assert out.splitlines()[:2] == ["n               3", "total           8"]
+        assert builds == ["realbott"]
 
 
 class TestCheck:

@@ -16,6 +16,7 @@ from realbott.f2poly import (
     degree2_index,
     degree2_monomials,
     encode_degree2,
+    mul_linear,
     truncated_product,
 )
 
@@ -308,6 +309,15 @@ class TestDegree2Coordinates:
             encode_degree2(poly(3, (1, 0, 0)))
         with pytest.raises(ValueError):
             degree2_index(3, 2, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mul_linear_matches_frozenset_product(self, data):
+        f = data.draw(linear_forms())
+        g = LinearFormF2(f.num_vars, data.draw(st.integers(0, (1 << f.num_vars) - 1)))
+        mask = mul_linear(f.num_vars, f.coeffs, g.coeffs)
+        assert mask == encode_degree2(f * g)
+        assert decode_degree2(f.num_vars, mask) == f * g
 
 
 class TestLinearFormF2:
