@@ -3,110 +3,17 @@
 Everything is exact finite algebra over GF(2): no floating point, no
 tolerances.  See the bottcore module docstring for the mathematical
 setup and README.md for usage.
+
+Each module's __all__ is the one list of its public names; the package
+re-exports them all, so the lists must stay disjoint.
 """
 
-from .bottcore import (
-    BottMatrix,
-    IdealDegree2Basis,
-    InconsistencyError,
-    KahlerPairing,
-    ManifoldReport,
-    MatrixParseError,
-    PMatrix,
-    analyze,
-    bott_to_p,
-    bott_verdicts,
-    characteristic_ideal,
-    cocycles,
-    free_at_subset,
-    has_full_holonomy,
-    identical_columns_matrix,
-    is_free,
-    is_kahler,
-    parse_bott,
-    parse_pmatrix,
-    pmatrix_to_bott,
-    spin_kahler_closed_form,
-    spin_membership,
-    sw_class,
-)
-from .census import (
-    CSV_HEADER,
-    CensusConfig,
-    CensusRow,
-    OracleDisagreementError,
-    enumerate_bott,
-    matrix_at,
-    run_census,
-)
-from .euclid import (
-    EuclideanMotion,
-    acts_freely,
-    check_against_rows,
-    element_of,
-    generators,
-    orientable_by_motions,
-    subset_motions,
-)
-from .f2poly import (
-    F2Matrix,
-    GradedPolyF2,
-    LinearFormF2,
-    decode_degree2,
-    degree2_count,
-    degree2_index,
-    degree2_monomials,
-    encode_degree2,
-    truncated_product,
-)
+from . import bottcore, census, euclid, f2poly
+from .bottcore import *  # noqa: F401,F403
+from .census import *  # noqa: F401,F403
+from .euclid import *  # noqa: F401,F403
+from .f2poly import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BottMatrix",
-    "CSV_HEADER",
-    "CensusConfig",
-    "CensusRow",
-    "EuclideanMotion",
-    "F2Matrix",
-    "GradedPolyF2",
-    "IdealDegree2Basis",
-    "InconsistencyError",
-    "KahlerPairing",
-    "LinearFormF2",
-    "ManifoldReport",
-    "MatrixParseError",
-    "OracleDisagreementError",
-    "PMatrix",
-    "acts_freely",
-    "analyze",
-    "bott_to_p",
-    "bott_verdicts",
-    "characteristic_ideal",
-    "check_against_rows",
-    "cocycles",
-    "decode_degree2",
-    "degree2_count",
-    "degree2_index",
-    "degree2_monomials",
-    "element_of",
-    "encode_degree2",
-    "enumerate_bott",
-    "free_at_subset",
-    "generators",
-    "has_full_holonomy",
-    "identical_columns_matrix",
-    "is_free",
-    "is_kahler",
-    "matrix_at",
-    "orientable_by_motions",
-    "parse_bott",
-    "parse_pmatrix",
-    "pmatrix_to_bott",
-    "run_census",
-    "spin_kahler_closed_form",
-    "subset_motions",
-    "spin_membership",
-    "sw_class",
-    "truncated_product",
-]
+__all__ = [*bottcore.__all__, *census.__all__, *euclid.__all__, *f2poly.__all__]

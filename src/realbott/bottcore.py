@@ -71,7 +71,6 @@ __all__ = [
     "analyze",
     "bott_verdicts",
     "mask_line",
-    "identical_columns_matrix",
 ]
 
 
@@ -278,13 +277,24 @@ def free_at_subset(p: PMatrix, subset_mask: int) -> bool:
     return (a & b) != 0
 
 
+# Size guard: a free matrix makes is_free scan all 2^d - 1 row subsets, so
+# the time doubles with each row (d = 20: about 0.3 s); d = 24 extrapolates
+# to about 5 s, d = 30 to about 5 minutes and d = 40 to days.
+MAX_FREE_ROWS = 24
+
+
 def is_free(p: PMatrix) -> bool:
     """Whether the encoded (Z_2)^d action on T^n is free.
 
     Checks all 2^d - 1 nonempty row subsets with Gray-code incremental
-    XOR of the two bitplanes.
+    XOR of the two bitplanes; d above MAX_FREE_ROWS is refused.
     """
     d = p.d
+    if d > MAX_FREE_ROWS:
+        raise ValueError(
+            f"size guard exceeded: d={d} rows need 2^{d} - 1 row subsets, "
+            f"limit is d={MAX_FREE_ROWS}"
+        )
     a = b = 0
     prev = 0
     for k in range(1, 1 << d):
@@ -581,23 +591,3 @@ def bott_verdicts(n: int, rows: Sequence[int]) -> tuple[bool, bool, bool]:
         raise InconsistencyError(f"Spin without orientability on {mask_line(n, rows)}")
     return orientable, kahler, spin
 
-
-def identical_columns_matrix(n: int, k: int, value_row: int = 0) -> BottMatrix:
-    """Bott matrix with 2k equal nonzero columns and all others zero.
-
-    The last 2k columns carry a single 1 in row value_row (0-based); the
-    construction needs 2k <= n - value_row - 1 so the nonzero columns sit
-    strictly right of their supporting row.
-    """
-    if k < 1 or n < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    first = n - 2 * k
-    if first <= value_row:
-        raise ValueError(
-            f"cannot place {2 * k} equal nonzero columns in an "
-            f"n={n} strictly upper-triangular matrix"
-        )
-    rows = [[0] * n for _ in range(n)]
-    for j in range(first, n):
-        rows[value_row][j] = 1
-    return BottMatrix(tuple(tuple(r) for r in rows))

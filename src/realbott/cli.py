@@ -109,10 +109,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         # Generic P-matrix: the Kahler column test needs a Bott matrix, so
         # those fields stay null; Spin still comes from the membership test.
+        # is_free goes first, as its size guard must fire before any work.
+        free = is_free(p)
         spin, w1, w2 = spin_membership(p)
         rep = ManifoldReport(
             n=p.n,
-            free=is_free(p),
+            free=free,
             holonomy_full=has_full_holonomy(p),
             w1=w1,
             orientable=w1.is_zero,

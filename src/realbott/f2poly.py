@@ -23,6 +23,18 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence
 
+__all__ = [
+    "GradedPolyF2",
+    "LinearFormF2",
+    "F2Matrix",
+    "truncated_product",
+    "degree2_count",
+    "degree2_index",
+    "degree2_monomials",
+    "encode_degree2",
+    "decode_degree2",
+]
+
 Monomial = tuple[int, ...]
 
 

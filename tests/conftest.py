@@ -47,3 +47,17 @@ def klein_bottle() -> BottMatrix:
 
 def zero_bott(n: int) -> BottMatrix:
     return BottMatrix(tuple((0,) * n for _ in range(n)))
+
+
+def identical_columns_matrix(n: int, k: int) -> BottMatrix:
+    """Bott matrix with 2k equal nonzero columns and all others zero.
+
+    The last 2k columns carry a single 1 in the first row, so the
+    construction needs 2k <= n - 1.
+    """
+    if k < 1 or 2 * k >= n:
+        raise ValueError(
+            f"cannot place {2 * k} equal nonzero columns in an "
+            f"n={n} strictly upper-triangular matrix"
+        )
+    return BottMatrix(((0,) * (n - 2 * k) + (1,) * (2 * k),) + ((0,) * n,) * (n - 1))

@@ -21,7 +21,6 @@ from realbott import (
     enumerate_bott,
     free_at_subset,
     generators,
-    identical_columns_matrix,
     is_kahler,
     matrix_at,
     parse_bott,
@@ -37,7 +36,7 @@ from realbott.cli import main
 from realbott.euclid import EuclideanMotion
 from realbott.f2poly import encode_degree2
 
-from conftest import SIXDIM_BOTT_TEXT, SIXDIM_P_TEXT
+from conftest import SIXDIM_BOTT_TEXT, SIXDIM_P_TEXT, identical_columns_matrix
 
 
 def report(number: int, ok: bool, detail: str) -> None:

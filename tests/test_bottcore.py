@@ -23,7 +23,6 @@ from realbott import (
     enumerate_bott,
     free_at_subset,
     has_full_holonomy,
-    identical_columns_matrix,
     is_free,
     is_kahler,
     matrix_at,
@@ -37,7 +36,7 @@ from realbott import (
 from realbott.bottcore import mask_line
 from realbott.f2poly import F2Matrix, LinearFormF2, degree2_count, encode_degree2
 
-from conftest import SIXDIM_BOTT_TEXT, SIXDIM_P_TEXT, zero_bott
+from conftest import SIXDIM_BOTT_TEXT, SIXDIM_P_TEXT, identical_columns_matrix, zero_bott
 
 
 def theta_formula(a: BottMatrix, j: int) -> GradedPolyF2:

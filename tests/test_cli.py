@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import realbott.bottcore as bottcore_mod
 import realbott.census as census_mod
 import realbott.cli as cli_mod
 import realbott.euclid as euclid_mod
@@ -156,6 +157,23 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(tmp_path / "nope.txt"))
         assert code == 2
         assert "error" in err
+
+    def test_freeness_guard_exit_2(self, capsys, tmp_path):
+        # a free 40-row matrix needs 2^40 - 1 subsets, days of scanning; this
+        # one is not free at the first subset, so only the guard refuses it
+        path = tmp_path / "p40.txt"
+        path.write_text("0 0 0\n" + "1 2 3\n" * 39)
+        code, out, err = run(capsys, "check", str(path), "--pmat")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: size guard exceeded")
+
+    def test_freeness_guard_bound_still_decided(self, capsys, tmp_path):
+        path = tmp_path / "p24.txt"
+        path.write_text("0 0 0\n" + "1 2 3\n" * (bottcore_mod.MAX_FREE_ROWS - 1))
+        code, out, _ = run(capsys, "check", str(path), "--pmat", "--json")
+        assert code == 0
+        assert json.loads(out)["free"] is False
 
     def test_json_field_order(self, capsys, sixdim_bott_file, tmp_path):
         # the README's order, on the Bott path and the general P-matrix path
