@@ -9,6 +9,7 @@ Run:  python demos/characteristic_classes.py
 """
 
 from realbott import (
+    GradedPolyF2,
     bott_to_p,
     characteristic_ideal,
     cocycles,
@@ -37,9 +38,10 @@ def main() -> None:
     print(p)
     print()
 
-    alphas, betas = cocycles(p)
+    alphas, betas = cocycles(p)  # int masks, bit i for x_{i+1}
     print("Column cocycles alpha_j, beta_j in GF(2)[x1..x6]:")
     for j, (al, be) in enumerate(zip(alphas, betas), start=1):
+        al, be = GradedPolyF2.linear(p.d, al), GradedPolyF2.linear(p.d, be)
         print(f"  column {j}:  alpha = {al}    beta = {be}")
     print("(beta_j = x_j always holds for Bott-shaped P-matrices, and")
     print(" alpha_j + beta_j reads off column j of A.)")

@@ -39,7 +39,6 @@ from typing import Optional, Sequence
 from .f2poly import (
     F2Matrix,
     GradedPolyF2,
-    LinearFormF2,
     decode_degree2,
     degree2_count,
     encode_degree2,
@@ -313,8 +312,12 @@ def has_full_holonomy(p: PMatrix) -> bool:
     return all(am ^ bm for am, bm in zip(p.alpha_masks, p.beta_masks))
 
 
-def _column_masks(p: PMatrix) -> tuple[list[int], list[int]]:
-    """The masks of alpha_j and beta_j per column j, bit i for x_{i+1}."""
+def cocycles(p: PMatrix) -> tuple[list[int], list[int]]:
+    """Column-wise linear forms (alpha_j, beta_j) over x_1..x_d as int masks.
+
+    Bit i of each mask is the coefficient of x_{i+1}; GradedPolyF2.linear
+    renders one.
+    """
     alphas = [0] * p.n
     betas = [0] * p.n
     for i, row in enumerate(p.rows):
@@ -323,11 +326,6 @@ def _column_masks(p: PMatrix) -> tuple[list[int], list[int]]:
                 alphas[j] |= _ALPHA[e] << i
                 betas[j] |= _BETA[e] << i
     return alphas, betas
-
-
-def cocycles(p: PMatrix) -> tuple[tuple[LinearFormF2, ...], tuple[LinearFormF2, ...]]:
-    """Column-wise linear forms (alpha_j, beta_j) over x_1..x_d."""
-    return tuple(tuple(LinearFormF2(p.d, m) for m in ms) for ms in _column_masks(p))
 
 
 def _theta_matrix(d: int, alphas: list[int], betas: list[int]) -> F2Matrix:
@@ -357,7 +355,7 @@ def characteristic_ideal(p: PMatrix) -> IdealDegree2Basis:
     For a Bott-shaped P the formula collapses to
     theta_j = x_j^2 + sum_{i<j} a_ij * x_i * x_j.
     """
-    m = _theta_matrix(p.d, *_column_masks(p))
+    m = _theta_matrix(p.d, *cocycles(p))
     thetas = tuple(decode_degree2(p.d, t) for t in m.rows)
     return IdealDegree2Basis(thetas=thetas, reduced=m.rref())
 
@@ -370,8 +368,7 @@ def sw_class(p: PMatrix, max_degree: int = 2) -> GradedPolyF2:
     Spin tests consume.
     """
     one = GradedPolyF2.one(p.d)
-    alphas, betas = cocycles(p)
-    factors = [one + (a + b).as_poly() for a, b in zip(alphas, betas)]
+    factors = [one + GradedPolyF2.linear(p.d, a ^ b) for a, b in zip(*cocycles(p))]
     return truncated_product(factors, max_degree)
 
 
@@ -412,13 +409,13 @@ def spin_membership(m: BottMatrix | PMatrix) -> tuple[bool, GradedPolyF2, Graded
     """
     p = bott_to_p(m) if isinstance(m, BottMatrix) else m
     d = p.d
-    alphas, betas = _column_masks(p)
+    alphas, betas = cocycles(p)
     w1 = w2 = 0
     for a, b in zip(alphas, betas):
         w2 ^= mul_linear(d, w1, a ^ b)
         w1 ^= a ^ b
     spin = not w1 and _theta_matrix(d, alphas, betas).in_row_space(w2)
-    return spin, LinearFormF2(d, w1).as_poly(), decode_degree2(d, w2)
+    return spin, GradedPolyF2.linear(d, w1), decode_degree2(d, w2)
 
 
 def _validate_pairing(a: BottMatrix, pairing: KahlerPairing) -> None:

@@ -164,9 +164,11 @@ def check_against_rows(a: BottMatrix) -> list[str]:
     For every nonempty generator subset the fixed-point verdict must
     equal the row-subset freeness predicate, and for every subset the
     sign pattern must match the cocycle prediction diag((-1)^(alpha_j +
-    beta_j)).  Returns one message per disagreement (empty = all agree),
-    in ascending subset order.  The motions come from subset_motions, so
-    the cost is 2^n compositions; n above MAX_MOTION_DIM is refused.
+    beta_j)), a form's value at a subset being the parity of its mask
+    ANDed with the subset mask.  Returns one message per disagreement
+    (empty = all agree), in ascending subset order.  The motions come
+    from subset_motions, so the cost is 2^n compositions; n above
+    MAX_MOTION_DIM is refused.
     """
     n = a.n
     if n > MAX_MOTION_DIM:
@@ -174,11 +176,10 @@ def check_against_rows(a: BottMatrix) -> list[str]:
             f"size guard exceeded: n={n} needs 2^{n} motions, limit is n={MAX_MOTION_DIM}"
         )
     p = bott_to_p(a)
-    alphas, betas = cocycles(p)
-    sign_forms = [alphas[j] + betas[j] for j in range(n)]
+    sign_forms = [al ^ be for al, be in zip(*cocycles(p))]
     problems: list[str] = []
     for mask, g in enumerate(subset_motions(generators(a))):
-        predicted = tuple(-1 if f.evaluate(mask) else 1 for f in sign_forms)
+        predicted = tuple(-1 if (f & mask).bit_count() & 1 else 1 for f in sign_forms)
         if g.signs != predicted:
             problems.append(
                 f"holonomy mismatch on {a.to_line()} subset {mask:#x}: "

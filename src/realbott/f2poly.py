@@ -12,20 +12,21 @@ fixed coordinate system for homogeneous quadratics (x_i*x_j, i <= j, in
 lex order), in which mul_linear multiplies two linear-form masks.
 
 Bit conventions: an ``F2Matrix`` row is an int whose bit ``c`` is the
-entry in column ``c``; a ``LinearFormF2`` coefficient mask has bit ``i``
-for the variable ``x_{i+1}``.  Everything is immutable, so values can be
-shared freely across threads.
+entry in column ``c``.  A linear form is an int mask whose bit ``i`` is
+the coefficient of ``x_{i+1}``; ``GradedPolyF2.linear`` turns one into a
+polynomial.  A homogeneous quadratic is an int mask whose bit
+``degree2_index(d, i, j)`` is the coefficient of ``x_{i+1}*x_{j+1}``
+(``encode_degree2``, ``decode_degree2``, ``mul_linear``).  Everything is
+immutable, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence
 
 __all__ = [
     "GradedPolyF2",
-    "LinearFormF2",
     "F2Matrix",
     "truncated_product",
     "degree2_count",
@@ -96,13 +97,17 @@ class GradedPolyF2:
         return cls._make(num_vars, frozenset({(0,) * num_vars}))
 
     @classmethod
-    def variable(cls, num_vars: int, index: int) -> GradedPolyF2:
-        """The single variable ``x_{index+1}`` (index is 0-based)."""
-        if not 0 <= index < num_vars:
-            raise ValueError(f"variable index {index} out of range for {num_vars} variables")
-        e = [0] * num_vars
-        e[index] = 1
-        return cls._make(num_vars, frozenset({tuple(e)}))
+    def linear(cls, num_vars: int, mask: int) -> GradedPolyF2:
+        """The linear form whose x_{i+1} coefficient is bit i of mask."""
+        if not 0 <= mask < (1 << num_vars):
+            raise ValueError(f"coefficient mask {mask:#x} out of range for {num_vars} variables")
+        terms = []
+        for i in range(num_vars):
+            if (mask >> i) & 1:
+                e = [0] * num_vars
+                e[i] = 1
+                terms.append(tuple(e))
+        return cls._make(num_vars, frozenset(terms))
 
     @property
     def is_zero(self) -> bool:
@@ -198,54 +203,6 @@ def truncated_product(
     for f in factors:
         acc = acc.mul_truncated(f, max_degree)
     return acc
-
-
-@dataclass(frozen=True)
-class LinearFormF2:
-    """Homogeneous linear form over GF(2): bit i of coeffs is the x_{i+1} coefficient."""
-
-    num_vars: int
-    coeffs: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.coeffs < (1 << self.num_vars):
-            raise ValueError(
-                f"coefficient mask {self.coeffs:#x} out of range for {self.num_vars} variables"
-            )
-
-    def _check_vars(self, other: LinearFormF2) -> None:
-        if self.num_vars != other.num_vars:
-            raise ValueError(
-                f"linear forms over different variable counts: {self.num_vars} vs {other.num_vars}"
-            )
-
-    def __add__(self, other: LinearFormF2) -> LinearFormF2:
-        self._check_vars(other)
-        return LinearFormF2(self.num_vars, self.coeffs ^ other.coeffs)
-
-    def __mul__(self, other: LinearFormF2) -> GradedPolyF2:
-        """Product as a (homogeneous degree-2 or zero) polynomial."""
-        return self.as_poly() * other.as_poly()
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == 0
-
-    def evaluate(self, point_mask: int) -> int:
-        """Value at a GF(2) point given as a bitmask: parity of the overlap."""
-        return (self.coeffs & point_mask).bit_count() & 1
-
-    def as_poly(self) -> GradedPolyF2:
-        terms = []
-        for i in range(self.num_vars):
-            if (self.coeffs >> i) & 1:
-                e = [0] * self.num_vars
-                e[i] = 1
-                terms.append(tuple(e))
-        return GradedPolyF2._make(self.num_vars, frozenset(terms))
-
-    def __str__(self) -> str:
-        return str(self.as_poly())
 
 
 class F2Matrix:

@@ -14,7 +14,6 @@ from realbott import (
     CensusConfig,
     GradedPolyF2,
     KahlerPairing,
-    LinearFormF2,
     bott_to_p,
     characteristic_ideal,
     cocycles,
@@ -125,7 +124,7 @@ def test_criterion_04_oracle_equivalence_n_le_5():
             matrices += 1
             p = bott_to_p(a)
             alphas, betas = cocycles(p)
-            sign_forms = [alphas[j] + betas[j] for j in range(n)]
+            sign_forms = [alphas[j] ^ betas[j] for j in range(n)]
             gens = generators(a)
             for mask in range(1, 1 << n):
                 g = EuclideanMotion.identity(n)
@@ -138,7 +137,7 @@ def test_criterion_04_oracle_equivalence_n_le_5():
                 if free_euclid != free_at_subset(p, mask):
                     disagreements += 1
                 predicted = tuple(
-                    -1 if f.evaluate(mask) else 1 for f in sign_forms
+                    -1 if (f & mask).bit_count() & 1 else 1 for f in sign_forms
                 )
                 if g.signs != predicted:
                     disagreements += 1
@@ -227,16 +226,16 @@ def test_criterion_09_frobenius_random_forms():
     failures = 0
     for _ in range(1000):
         d = rng.randint(1, 16)
-        form = LinearFormF2(d, rng.randrange(1 << d))
+        mask = rng.randrange(1 << d)
         lhs = truncated_product(
-            [GradedPolyF2.one(d) + form.as_poly()] * 2, 2
+            [GradedPolyF2.one(d) + GradedPolyF2.linear(d, mask)] * 2, 2
         )
         squares = GradedPolyF2(
             d,
             [
                 tuple(2 if k == i else 0 for k in range(d))
                 for i in range(d)
-                if (form.coeffs >> i) & 1
+                if (mask >> i) & 1
             ],
         )
         if lhs != GradedPolyF2.one(d) + squares:

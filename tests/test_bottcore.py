@@ -19,6 +19,7 @@ from realbott import (
     bott_to_p,
     bott_verdicts,
     characteristic_ideal,
+    check_against_rows,
     cocycles,
     enumerate_bott,
     free_at_subset,
@@ -26,6 +27,7 @@ from realbott import (
     is_free,
     is_kahler,
     matrix_at,
+    orientable_by_motions,
     parse_bott,
     parse_pmatrix,
     pmatrix_to_bott,
@@ -33,8 +35,9 @@ from realbott import (
     spin_membership,
     sw_class,
 )
+import realbott.bottcore as bottcore_mod
 from realbott.bottcore import mask_line
-from realbott.f2poly import F2Matrix, LinearFormF2, degree2_count, encode_degree2
+from realbott.f2poly import F2Matrix, degree2_count, encode_degree2
 
 from conftest import SIXDIM_BOTT_TEXT, SIXDIM_P_TEXT, identical_columns_matrix, zero_bott
 
@@ -169,15 +172,15 @@ class TestHolonomy:
 class TestCocycles:
     def test_single_half_turn(self):
         alphas, betas = cocycles(PMatrix(((1,),)))
-        assert alphas[0].coeffs == 1
-        assert betas[0].coeffs == 1
+        assert alphas == [1]
+        assert betas == [1]
 
     def test_bott_beta_is_diagonal(self):
         for n in (1, 2, 3, 4):
             for a in enumerate_bott(n):
                 _, betas = cocycles(bott_to_p(a))
                 for j, beta in enumerate(betas):
-                    assert beta.coeffs == 1 << j
+                    assert beta == 1 << j
 
     def test_bott_sign_form_is_column(self):
         for n in (1, 2, 3, 4):
@@ -185,7 +188,7 @@ class TestCocycles:
                 alphas, betas = cocycles(bott_to_p(a))
                 for j in range(n):
                     expected = sum(a.rows[i][j] << i for i in range(j))
-                    assert (alphas[j] + betas[j]).coeffs == expected
+                    assert alphas[j] ^ betas[j] == expected
 
 
 class TestCharacteristicIdeal:
@@ -577,12 +580,9 @@ ALPHA = (0, 1, 1, 0)
 BETA = (0, 1, 0, 1)
 
 
-def entry_forms(p: PMatrix, table) -> tuple[LinearFormF2, ...]:
-    """One linear form per column, read straight off the entries."""
-    return tuple(
-        LinearFormF2(p.d, sum(table[row[j]] << i for i, row in enumerate(p.rows)))
-        for j in range(p.n)
-    )
+def entry_forms(p: PMatrix, table) -> list[int]:
+    """One linear-form mask per column, read straight off the entries."""
+    return [sum(table[row[j]] << i for i, row in enumerate(p.rows)) for j in range(p.n)]
 
 
 def mask_route_matches(m: BottMatrix | PMatrix) -> bool:
@@ -591,15 +591,18 @@ def mask_route_matches(m: BottMatrix | PMatrix) -> bool:
     The frozenset route takes the graded pieces of sw_class, which
     multiplies with truncated_product, and row-reduces the encoded
     theta_j = alpha_j * beta_j, each a GradedPolyF2 product of forms read
-    straight off the entries.  Those forms must equal cocycles, which
-    sw_class reads, and the rendered w1 and w2 must agree too.
+    straight off the entries.  The masks of those forms must equal
+    cocycles, which sw_class reads, and the rendered w1 and w2 must agree
+    too.
     """
     p = bott_to_p(m) if isinstance(m, BottMatrix) else m
     alphas, betas = entry_forms(p, ALPHA), entry_forms(p, BETA)
     w = sw_class(p, 2)
     w1, w2 = w.graded_component(1), w.graded_component(2)
+    linear = GradedPolyF2.linear
     spin = w1.is_zero and F2Matrix(
-        (encode_degree2(a * b) for a, b in zip(alphas, betas)), degree2_count(p.d)
+        (encode_degree2(linear(p.d, a) * linear(p.d, b)) for a, b in zip(alphas, betas)),
+        degree2_count(p.d),
     ).rref().in_row_space(encode_degree2(w2))
     got = spin_membership(p)
     return (
@@ -667,3 +670,131 @@ class TestPmatrixToBottTwin:
         assert (b is not None) == has_bott_shape(p)
         if b is not None:
             assert bott_to_p(b) == p
+
+
+def predecessor_masks(a: BottMatrix) -> list[int]:
+    """Per column j, bit i = a_ij: the rows i with an edge i -> j."""
+    return [sum(row[j] << i for i, row in enumerate(a.rows)) for j in range(a.n)]
+
+
+def relabeling(order) -> tuple[int, ...]:
+    """pi with pi[order[k]] = k: the k-th vertex of order gets index k."""
+    return tuple(order.index(i) for i in range(len(order)))
+
+
+def linear_extensions(a: BottMatrix):
+    """Every linear extension pi of the digraph of a (i -> j where a_ij = 1).
+
+    pi[i] is the new index of row and column i, and a_ij = 1 implies
+    pi[i] < pi[j], so the relabeled matrix is a Bott matrix again.
+    """
+    preds = predecessor_masks(a)
+
+    def orders(placed: int, order: tuple[int, ...]):
+        if len(order) == a.n:
+            yield order
+            return
+        for j in range(a.n):
+            if not (placed >> j) & 1 and not preds[j] & ~placed:
+                yield from orders(placed | 1 << j, order + (j,))
+
+    return [relabeling(order) for order in orders(0, ())]
+
+
+def relabel(a: BottMatrix, pi) -> BottMatrix:
+    """B with b_{pi(i) pi(j)} = a_ij: the same manifold, coordinates renamed."""
+    rows = [[0] * a.n for _ in range(a.n)]
+    for i, row in enumerate(a.rows):
+        for j, e in enumerate(row):
+            rows[pi[i]][pi[j]] = e
+    return BottMatrix(tuple(map(tuple, rows)))
+
+
+# Each route's verdicts must not see the relabeling.  The kernel is looked
+# up on its module at call time, so a test can swap it out.
+RELABEL_ROUTES = (
+    ("kernel", lambda m: bottcore_mod.bott_verdicts(m.n, m.row_masks)),
+    ("analyze", slow_verdicts),
+    ("motions", orientable_by_motions),
+)
+
+
+def relabel_problems(a: BottMatrix, pi) -> list[str]:
+    """Where relabeling a by pi changes a verdict or splits a Kahler pair."""
+    b = relabel(a, pi)
+    problems = [
+        f"{name} differs on {a.to_line()} and its relabeling {b.to_line()} by {pi}"
+        for name, route in RELABEL_ROUTES
+        if route(a) != route(b)
+    ]
+    pairing = is_kahler(a)
+    for i, j in pairing.pairs if pairing else ():
+        if b.column(pi[i]) != b.column(pi[j]):
+            problems.append(f"Kahler pair ({i}, {j}) of {a.to_line()} split by {pi}")
+    return problems
+
+
+def relabel_scan(max_n: int) -> tuple[int, list[str]]:
+    """(relabeled matrices, problems) over every Bott matrix with n <= max_n
+    and every linear extension of it; the motion oracle must also be clean
+    on each relabeled matrix with n <= 4."""
+    count = 0
+    problems: list[str] = []
+    for n in range(1, max_n + 1):
+        for a in enumerate_bott(n):
+            for pi in linear_extensions(a):
+                count += 1
+                problems += relabel_problems(a, pi)
+                if n <= 4:
+                    problems += check_against_rows(relabel(a, pi))
+    return count, problems
+
+
+@st.composite
+def with_linear_extension(draw, matrices):
+    """A drawn Bott matrix and a random linear extension of its digraph."""
+    a = draw(matrices)
+    preds = predecessor_masks(a)
+    placed, order = 0, []
+    while len(order) < a.n:
+        ready = [j for j in range(a.n) if not (placed >> j) & 1 and not preds[j] & ~placed]
+        j = draw(st.sampled_from(ready))
+        placed |= 1 << j
+        order.append(j)
+    return a, relabeling(order)
+
+
+class TestRelabelingInvariance:
+    """Renaming the coordinates along a linear extension of the digraph of
+    A gives a diffeomorphic manifold, so no verdict may change."""
+
+    def test_extensions_and_relabel(self):
+        assert sorted(linear_extensions(zero_bott(3))) == list(itertools.permutations(range(3)))
+        # 0 -> 2 and 1 -> 2: vertex 2 comes last, 0 and 1 in either order
+        a = from_columns(3, [0, 0, 0b11])
+        assert linear_extensions(a) == [(0, 1, 2), (1, 0, 2)]
+        assert relabel(a, (1, 0, 2)) == a
+        # a_01 = 1 only; swapping vertices 1 and 2 moves it to a_02
+        assert relabel(from_columns(3, [0, 1, 0]), (0, 2, 1)) == from_columns(3, [0, 0, 1])
+
+    def test_exhaustive_n_le_5(self):
+        count, problems = relabel_scan(5)
+        assert problems == []
+        assert count == 10105
+
+    @settings(max_examples=200, deadline=None)
+    @given(with_linear_extension(st.one_of(bott_matrices(), planted_kahler())))
+    def test_random_and_planted_kahler(self, case):
+        assert relabel_problems(*case) == []
+
+    def test_non_invariant_kernel_is_caught(self, monkeypatch):
+        real = bottcore_mod.bott_verdicts
+
+        def biased(n, rows):
+            orientable, kahler, spin = real(n, rows)
+            return orientable, kahler, spin ^ bool(rows[0] & 0b10)
+
+        monkeypatch.setattr(bottcore_mod, "bott_verdicts", biased)
+        _, problems = relabel_scan(3)
+        assert problems
+        assert all(p.startswith("kernel differs") for p in problems)

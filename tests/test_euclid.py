@@ -140,7 +140,7 @@ class TestHolonomyMatrix:
                 for mask in range(1 << n):
                     subset = [i for i in range(n) if (mask >> i) & 1]
                     predicted = tuple(
-                        -1 if (alphas[j] + betas[j]).evaluate(mask) else 1
+                        -1 if ((alphas[j] ^ betas[j]) & mask).bit_count() & 1 else 1
                         for j in range(n)
                     )
                     assert element_of(a, subset).signs == predicted

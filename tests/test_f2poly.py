@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from realbott.f2poly import (
     F2Matrix,
     GradedPolyF2,
-    LinearFormF2,
     decode_degree2,
     degree2_count,
     degree2_index,
@@ -25,21 +24,15 @@ def poly(num_vars, *terms):
     return GradedPolyF2(num_vars, terms)
 
 
-def one_plus(form: LinearFormF2) -> GradedPolyF2:
-    return GradedPolyF2.one(form.num_vars) + form.as_poly()
+def one_plus(num_vars: int, mask: int) -> GradedPolyF2:
+    """1 + L for the linear form L with mask bit i as its x_{i+1} coefficient."""
+    return GradedPolyF2.one(num_vars) + GradedPolyF2.linear(num_vars, mask)
 
 
 # The six truncated-product factors of the six-dimensional reference
 # manifold: 1 + alpha_j + beta_j with sign forms 0, 0, x1+x2, x1+x2,
-# x1+x2+x3+x4, x1+x2+x3+x4.
-SIXDIM_FORMS = [
-    LinearFormF2(6, 0b000000),
-    LinearFormF2(6, 0b000000),
-    LinearFormF2(6, 0b000011),
-    LinearFormF2(6, 0b000011),
-    LinearFormF2(6, 0b001111),
-    LinearFormF2(6, 0b001111),
-]
+# x1+x2+x3+x4, x1+x2+x3+x4, as masks over six variables.
+SIXDIM_FORMS = [0b000000, 0b000000, 0b000011, 0b000011, 0b001111, 0b001111]
 
 # theta encodings of the same manifold in the 21 degree-2 coordinates.
 SIXDIM_THETAS = [
@@ -79,8 +72,8 @@ class TestGradedPolyF2:
         assert p + p == GradedPolyF2.zero(2)
 
     def test_mul_cancels_cross_terms(self):
-        x1 = GradedPolyF2.variable(2, 0)
-        x2 = GradedPolyF2.variable(2, 1)
+        x1 = GradedPolyF2.linear(2, 0b01)
+        x2 = GradedPolyF2.linear(2, 0b10)
         # (x1 + x2)^2 = x1^2 + x2^2 over GF(2)
         s = x1 + x2
         assert s * s == poly(2, (2, 0), (0, 2))
@@ -123,21 +116,21 @@ class TestGradedPolyF2:
 
 class TestTruncatedProduct:
     def test_single_factor(self):
-        f = one_plus(LinearFormF2(1, 0b1))
+        f = one_plus(1, 0b1)
         assert truncated_product([f], 2) == f
 
     def test_square_of_binomial(self):
-        f = one_plus(LinearFormF2(1, 0b1))
+        f = one_plus(1, 0b1)
         assert truncated_product([f, f], 2) == poly(1, (0,), (2,))
 
     def test_sixdim_reference(self):
-        factors = [one_plus(f) for f in SIXDIM_FORMS]
+        factors = [one_plus(6, f) for f in SIXDIM_FORMS]
         w = truncated_product(factors, 2)
         assert w == poly(6, (0,) * 6, (0, 0, 2, 0, 0, 0), (0, 0, 0, 2, 0, 0))
         assert str(w) == "1 + x3^2 + x4^2"
 
     def test_truncation_drops_high_degree(self):
-        f = one_plus(LinearFormF2(2, 0b11))
+        f = one_plus(2, 0b11)
         full = truncated_product([f, f, f], 6)
         assert truncated_product([f, f, f], 2) == full.truncate(2)
 
@@ -155,8 +148,8 @@ class TestTruncatedProduct:
 @st.composite
 def linear_forms(draw, max_vars=16):
     d = draw(st.integers(min_value=1, max_value=max_vars))
-    coeffs = draw(st.integers(min_value=0, max_value=(1 << d) - 1))
-    return LinearFormF2(d, coeffs)
+    mask = draw(st.integers(min_value=0, max_value=(1 << d) - 1))
+    return d, mask
 
 
 @st.composite
@@ -170,18 +163,16 @@ class TestPolynomialProperties:
     @given(linear_forms())
     def test_frobenius_square(self, form):
         # (1 + L)^2 = 1 + L^2 with all cross terms cancelled
-        f = one_plus(form)
-        expected = GradedPolyF2.one(form.num_vars) + (form * form).graded_component(2)
+        d, mask = form
+        f = one_plus(d, mask)
+        lin = GradedPolyF2.linear(d, mask)
+        expected = GradedPolyF2.one(d) + (lin * lin).graded_component(2)
         assert truncated_product([f, f], 2) == expected
         squares = GradedPolyF2(
-            form.num_vars,
-            [
-                tuple(2 if k == i else 0 for k in range(form.num_vars))
-                for i in range(form.num_vars)
-                if (form.coeffs >> i) & 1
-            ],
+            d,
+            [tuple(2 if k == i else 0 for k in range(d)) for i in range(d) if (mask >> i) & 1],
         )
-        assert form * form == squares
+        assert lin * lin == squares
 
     @settings(max_examples=60)
     @given(st.data())
@@ -313,32 +304,25 @@ class TestDegree2Coordinates:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_mul_linear_matches_frozenset_product(self, data):
-        f = data.draw(linear_forms())
-        g = LinearFormF2(f.num_vars, data.draw(st.integers(0, (1 << f.num_vars) - 1)))
-        mask = mul_linear(f.num_vars, f.coeffs, g.coeffs)
-        assert mask == encode_degree2(f * g)
-        assert decode_degree2(f.num_vars, mask) == f * g
+        d, f = data.draw(linear_forms())
+        g = data.draw(st.integers(0, (1 << d) - 1))
+        product = GradedPolyF2.linear(d, f) * GradedPolyF2.linear(d, g)
+        mask = mul_linear(d, f, g)
+        assert mask == encode_degree2(product)
+        assert decode_degree2(d, mask) == product
 
 
-class TestLinearFormF2:
-    def test_evaluate_parity(self):
-        f = LinearFormF2(4, 0b1010)
-        assert f.evaluate(0b1000) == 1
-        assert f.evaluate(0b1010) == 0
-        assert f.evaluate(0) == 0
+class TestLinearMasks:
+    """GradedPolyF2.linear, the one way from a linear-form mask to a polynomial."""
 
-    def test_add(self):
-        f = LinearFormF2(3, 0b101) + LinearFormF2(3, 0b001)
-        assert f.coeffs == 0b100
-        with pytest.raises(ValueError):
-            LinearFormF2(3, 0b1) + LinearFormF2(2, 0b1)
-
-    def test_as_poly_and_str(self):
-        f = LinearFormF2(3, 0b101)
-        assert f.as_poly() == poly(3, (1, 0, 0), (0, 0, 1))
+    def test_linear_and_str(self):
+        f = GradedPolyF2.linear(3, 0b101)
+        assert f == poly(3, (1, 0, 0), (0, 0, 1))
         assert str(f) == "x1 + x3"
-        assert str(LinearFormF2(3, 0)) == "0"
+        assert str(GradedPolyF2.linear(3, 0)) == "0"
 
     def test_out_of_range_coeffs(self):
         with pytest.raises(ValueError):
-            LinearFormF2(2, 0b100)
+            GradedPolyF2.linear(2, 0b100)
+        with pytest.raises(ValueError):
+            GradedPolyF2.linear(2, -1)
