@@ -285,8 +285,9 @@ MAX_FREE_ROWS = 24
 def is_free(p: PMatrix) -> bool:
     """Whether the encoded (Z_2)^d action on T^n is free.
 
-    Checks all 2^d - 1 nonempty row subsets with Gray-code incremental
-    XOR of the two bitplanes; d above MAX_FREE_ROWS is refused.
+    Checks all 2^d - 1 nonempty row subsets in reflected Gray-code order,
+    XORing one row into the two bitplanes per step: step k flips row i,
+    the lowest set bit of k.  d above MAX_FREE_ROWS is refused.
     """
     d = p.d
     if d > MAX_FREE_ROWS:
@@ -295,13 +296,10 @@ def is_free(p: PMatrix) -> bool:
             f"limit is d={MAX_FREE_ROWS}"
         )
     a = b = 0
-    prev = 0
     for k in range(1, 1 << d):
-        gray = k ^ (k >> 1)
-        i = (gray ^ prev).bit_length() - 1
+        i = (k & -k).bit_length() - 1
         a ^= p.alpha_masks[i]
         b ^= p.beta_masks[i]
-        prev = gray
         if (a & b) == 0:
             return False
     return True
@@ -468,11 +466,12 @@ class ManifoldReport:
 
 
 def analyze(a: BottMatrix) -> ManifoldReport:
-    """Run every decider on one Bott matrix by the polynomial route.
+    """Run every decider on one Bott matrix by the P-matrix route.
 
-    This is the slow reference twin of bott_verdicts.  On Kahler inputs
-    the closed-form Spin verdict is cross-checked against the
-    ideal-membership verdict; a mismatch can only mean an implementation
+    This is the reference twin of bott_verdicts: spin_membership decides
+    Spin on masks read off the P-matrix, building polynomials only to
+    render w1 and w2.  On Kahler inputs the closed-form Spin verdict is
+    cross-checked against it; a mismatch can only mean an implementation
     bug and raises InconsistencyError.
     """
     p = bott_to_p(a)

@@ -189,7 +189,7 @@ def _index_of(n: int, rows: Sequence[int]) -> int:
 def cross_check(a: BottMatrix, verdicts: tuple[bool, bool, bool]) -> list[str]:
     """Disagreements of the slow routes on a with the kernel's verdicts.
 
-    analyze (the polynomial route, which compares the two Spin deciders
+    analyze (the P-matrix route, which compares the two Spin deciders
     on Kahler inputs) must give the same (orientable, kahler, spin), the
     generators' sign products must give the same orientability, and the
     Euclidean-motion oracle must agree with the row calculus.

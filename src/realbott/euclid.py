@@ -9,9 +9,8 @@ translation parities, with no floating point anywhere.
 This module is the independent oracle against which the combinatorial
 row-subset freeness test, the cocycle holonomy prediction and the row
 parity test for orientability are cross-checked.  check_against_rows
-builds the motions of all 2^n generator subsets in one Gray-code walk,
-so each subset costs one exact composition: the running motion takes
-one generator in or out per step.
+builds the motion of each of the 2^n generator subsets as its sorted
+product, with one exact composition per subset.
 """
 
 from __future__ import annotations
@@ -135,26 +134,15 @@ def orientable_by_motions(a: BottMatrix) -> bool:
 def subset_motions(gens: tuple[EuclideanMotion, ...]) -> list[EuclideanMotion]:
     """The motion of every generator subset, indexed by mask, one compose each.
 
-    The masks are visited in reflected Gray-code order from 0: step k
-    flips bit i = lowest set bit of k, composing the running motion with
-    s_i when it enters and with s_i^-1 when it leaves.  The motion at a
-    mask is not the sorted product element_of(a, subset), but it differs
-    from it by an integer translation.  Two adjacent factors
-    s_i^(+-1) = (D_i, +-t_i) and s_j^(+-1) commute up to one: the
-    diagonal parts commute, and the translations of the two orders
-    differ by +-(I - D_j) t_i +- (D_i - I) t_j, whose doubled entries
-    are 0 or +-2.  Sorting the walk's word that way leaves pairs
-    s_i^-1 s_i = identity to cancel.  An integer translation changes no
-    sign and no translation parity, which are all that the holonomy and
-    fixed-point verdicts read.
+    The masks are visited in ascending order.  A mask's motion is the
+    motion of the mask without its highest generator s_h, built earlier,
+    composed with s_h on the right, so it is exactly the sorted product
+    element_of(a, subset).
     """
-    inverses = [s.inverse() for s in gens]
     out = [EuclideanMotion.identity(len(gens))] * (1 << len(gens))
-    g = out[0]
-    for k in range(1, len(out)):
-        i = (k & -k).bit_length() - 1
-        mask = k ^ (k >> 1)
-        g = out[mask] = g.compose(gens[i] if (mask >> i) & 1 else inverses[i])
+    for mask in range(1, len(out)):
+        h = mask.bit_length() - 1
+        out[mask] = out[mask ^ (1 << h)].compose(gens[h])
     return out
 
 
@@ -166,9 +154,9 @@ def check_against_rows(a: BottMatrix) -> list[str]:
     sign pattern must match the cocycle prediction diag((-1)^(alpha_j +
     beta_j)), a form's value at a subset being the parity of its mask
     ANDed with the subset mask.  Returns one message per disagreement
-    (empty = all agree), in ascending subset order.  The motions come
-    from subset_motions, so the cost is 2^n compositions; n above
-    MAX_MOTION_DIM is refused.
+    (empty = all agree), in ascending subset order.  The motions are the
+    sorted products that subset_motions builds, one composition per
+    subset; n above MAX_MOTION_DIM is refused.
     """
     n = a.n
     if n > MAX_MOTION_DIM:

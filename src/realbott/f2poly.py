@@ -185,6 +185,12 @@ class GradedPolyF2:
         return f"GradedPolyF2({self.num_vars}, {sorted(self.terms, key=monomial_key)!r})"
 
 
+# Size guard on the running product of truncated_product.  Its term count
+# depends on the factors, so it is checked after each factor: a random 12x14
+# P-matrix at degree 14 would build 2,918,928 terms in over a minute.
+MAX_PRODUCT_TERMS = 1 << 18
+
+
 def truncated_product(
     factors: Sequence[GradedPolyF2], max_degree: int
 ) -> GradedPolyF2:
@@ -193,15 +199,21 @@ def truncated_product(
     Truncation is applied after each pairwise multiplication, so the
     intermediate term count never exceeds the number of monomials of
     degree <= max_degree.  Since degrees only grow under multiplication,
-    this equals the full product truncated once at the end.
+    this equals the full product truncated once at the end.  A running
+    product of more than MAX_PRODUCT_TERMS terms is refused.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     if not factors:
         raise ValueError("empty product: at least one factor required")
     acc = GradedPolyF2.one(factors[0].num_vars)
-    for f in factors:
+    for k, f in enumerate(factors, start=1):
         acc = acc.mul_truncated(f, max_degree)
+        if len(acc.terms) > MAX_PRODUCT_TERMS:
+            raise ValueError(
+                f"size guard exceeded: {len(acc.terms)} terms after factor {k} "
+                f"of {len(factors)}, limit is {MAX_PRODUCT_TERMS}"
+            )
     return acc
 
 

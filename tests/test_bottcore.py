@@ -5,7 +5,7 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realbott import (
@@ -132,6 +132,26 @@ class TestBottToP:
         assert pmatrix_to_bott(PMatrix(((1, 0, 0), (0, 1, 0)))) is None
 
 
+@st.composite
+def square_or_rectangular_pmatrices(draw, max_d=8):
+    """d x n P-matrix with d, n <= max_d.  Uniform draws are rarely free, so
+    when d <= n half of them get entry 1 at (i, i) and zeros below it, which
+    leaves every row subset its first row's half-turn.  Half of those then
+    lose every entry 1 of the last row, so that only the last row alone,
+    the last subset of the Gray-code order, is not free."""
+    d = draw(st.integers(1, max_d))
+    n = draw(st.integers(1, max_d))
+    rows = [draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) for _ in range(d)]
+    if d <= n and draw(st.booleans()):
+        for i in range(d):
+            rows[i][i] = 1
+            for k in range(i + 1, d):
+                rows[k][i] = 0
+        if draw(st.booleans()):
+            rows[-1] = [0 if e == 1 else e for e in rows[-1]]
+    return PMatrix(tuple(map(tuple, rows)))
+
+
 class TestFreeness:
     def test_single_reflection_not_free(self):
         assert not is_free(PMatrix(((2,),)))
@@ -143,11 +163,13 @@ class TestFreeness:
         for a in enumerate_bott(4):
             assert is_free(bott_to_p(a))
 
-    def test_subset_predicate_matches_full_scan(self):
-        # brute-force recomputation per subset agrees with the Gray-code loop
-        p = PMatrix(((1, 2, 0), (0, 1, 2), (2, 0, 1)))
-        verdicts = [free_at_subset(p, mask) for mask in range(1, 8)]
-        assert is_free(p) == all(verdicts)
+    @settings(max_examples=300, deadline=None)
+    @given(square_or_rectangular_pmatrices())
+    @example(PMatrix(((1, 2, 0), (0, 1, 2), (2, 0, 1))))
+    def test_subset_predicate_matches_full_scan(self, p):
+        # brute-force recomputation per subset agrees with the Gray-code loop,
+        # both where it stops early and where it scans every subset
+        assert is_free(p) == all(free_at_subset(p, m) for m in range(1, 1 << p.d))
 
     def test_subset_mask_validation(self):
         p = PMatrix(((1,),))

@@ -9,6 +9,7 @@ import realbott.bottcore as bottcore_mod
 import realbott.census as census_mod
 import realbott.cli as cli_mod
 import realbott.euclid as euclid_mod
+import realbott.f2poly as f2poly_mod
 from realbott import InconsistencyError, analyze, matrix_at, parse_bott
 from realbott.census import CSV_HEADER
 from realbott.cli import main
@@ -256,6 +257,17 @@ class TestSw:
         code, _, err = run(capsys, "sw", klein_file, "--max-degree", "-1")
         assert code == 2
         assert "error" in err
+
+    def test_product_size_guard_exit_2(self, capsys, sixdim_p_file, monkeypatch):
+        # at degree 2 the sixdim running product peaks at 7 terms, after
+        # factor 5 of 6, and ends with 3
+        monkeypatch.setattr(f2poly_mod, "MAX_PRODUCT_TERMS", 6)
+        code, out, err = run(capsys, "sw", sixdim_p_file, "--pmat")
+        assert code == 2
+        assert out == ""
+        assert err == "error: size guard exceeded: 7 terms after factor 5 of 6, limit is 6\n"
+        monkeypatch.setattr(f2poly_mod, "MAX_PRODUCT_TERMS", 7)
+        assert run(capsys, "sw", sixdim_p_file, "--pmat")[:2] == (0, "1 + x3^2 + x4^2\n")
 
 
 class TestKahler:

@@ -152,15 +152,20 @@ def subset_of(mask: int, n: int) -> list[int]:
 
 class TestSubsetMotions:
     def test_matches_element_of_exhaustive_n_le_4(self):
-        # same signs and translation parities as the sorted product
+        # exactly the sorted product, translations included
         for n in (1, 2, 3, 4):
             for a in enumerate_bott(n):
                 motions = subset_motions(generators(a))
                 assert len(motions) == 1 << n
                 for mask, g in enumerate(motions):
-                    e = element_of(a, subset_of(mask, n))
-                    assert g.signs == e.signs
-                    assert [t % 2 for t in g.trans2] == [t % 2 for t in e.trans2]
+                    assert g == element_of(a, subset_of(mask, n))
+
+    def test_takes_no_inverse(self, sixdim_bott, monkeypatch):
+        def never(self):
+            raise AssertionError("subset_motions took an inverse")
+
+        monkeypatch.setattr(EuclideanMotion, "inverse", never)
+        assert len(subset_motions(generators(sixdim_bott))) == 64
 
     def test_check_visits_each_subset_once(self, sixdim_bott, monkeypatch):
         seen = []
@@ -190,7 +195,7 @@ class TestSubsetMotions:
         ]
 
     def test_messages_in_ascending_mask_order(self, sixdim_bott, monkeypatch):
-        # the walk reaches 0x3f (step 42) before 0x20 (its last step)
+        # reported in mask order, whatever order a walk builds the motions in
         self.flip_at(monkeypatch, {0x20, 0x3F})
         problems = check_against_rows(sixdim_bott)
         assert len(problems) == 2

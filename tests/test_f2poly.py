@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import realbott.f2poly as f2poly_mod
 from realbott.f2poly import (
     F2Matrix,
     GradedPolyF2,
@@ -143,6 +144,24 @@ class TestTruncatedProduct:
     def test_mismatched_factors_rejected(self):
         with pytest.raises(ValueError):
             truncated_product([GradedPolyF2.one(2), GradedPolyF2.one(3)], 2)
+
+    def test_size_guard_is_inclusive(self, monkeypatch):
+        # (1 + x1)(1 + x2)(1 + x3) has 2, 4, then 8 terms
+        factors = [one_plus(3, 1 << i) for i in range(3)]
+        monkeypatch.setattr(f2poly_mod, "MAX_PRODUCT_TERMS", 8)
+        assert len(truncated_product(factors, 3).terms) == 8
+        monkeypatch.setattr(f2poly_mod, "MAX_PRODUCT_TERMS", 7)
+        with pytest.raises(ValueError, match="size guard exceeded: 8 terms after factor 3 of 3"):
+            truncated_product(factors, 3)
+
+    def test_size_guard_stops_mid_product(self, monkeypatch):
+        factors = [one_plus(3, 1 << i) for i in range(3)]
+        monkeypatch.setattr(f2poly_mod, "MAX_PRODUCT_TERMS", 3)
+        with pytest.raises(ValueError, match="4 terms after factor 2 of 3, limit is 3"):
+            truncated_product(factors, 3)
+        # the guard counts the truncated product: 1 + x1 + x2 passes factor 2
+        with pytest.raises(ValueError, match="4 terms after factor 3 of 3"):
+            truncated_product(factors, 1)
 
 
 @st.composite
