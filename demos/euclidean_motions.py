@@ -43,7 +43,7 @@ def main() -> None:
 
     print("Squares are unit translations (the lattice inside the group):")
     for i, s in enumerate(gens, start=1):
-        print(f"s_{i}^2: {describe(s.square())}")
+        print(f"s_{i}^2: {describe(s.compose(s))}")
     print()
 
     g = element_of(a, [0, 1])

@@ -266,13 +266,15 @@ def free_at_subset(p: PMatrix, subset_mask: int) -> bool:
     the pair (1, 1) somewhere: the element then shifts that circle
     coordinate by a half turn it cannot undo, so it has no fixed point.
     """
-    if subset_mask <= 0 or subset_mask >> p.d:
+    alphas, betas = p.alpha_masks, p.beta_masks
+    if subset_mask <= 0 or subset_mask >> len(alphas):
         raise ValueError(f"subset mask {subset_mask:#x} out of range for {p.d} rows")
     a = b = 0
-    for i in range(p.d):
-        if (subset_mask >> i) & 1:
-            a ^= p.alpha_masks[i]
-            b ^= p.beta_masks[i]
+    while subset_mask:
+        i = (subset_mask & -subset_mask).bit_length() - 1
+        a ^= alphas[i]
+        b ^= betas[i]
+        subset_mask &= subset_mask - 1
     return (a & b) != 0
 
 

@@ -178,6 +178,25 @@ class TestFreeness:
         with pytest.raises(ValueError):
             free_at_subset(p, 0b10)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_set_bit_walk_matches_row_scan(self, data):
+        p = data.draw(square_or_rectangular_pmatrices(max_d=24))
+        top = 1 << (p.d - 1)
+        mask = data.draw(st.integers(1, (1 << p.d) - 1))
+        for m in (mask, mask | top, top, (1 << p.d) - 1):
+            a = b = 0
+            for i in range(p.d):
+                if (m >> i) & 1:
+                    a ^= p.alpha_masks[i]
+                    b ^= p.beta_masks[i]
+            assert free_at_subset(p, m) == bool(a & b)
+        # the range guard runs before the walk: a negative mask has
+        # infinitely many set bits
+        for bad in (0, -1, 1 << p.d):
+            with pytest.raises(ValueError, match="out of range"):
+                free_at_subset(p, bad)
+
 
 class TestHolonomy:
     def test_klein_bottle_not_full(self, klein_bottle):

@@ -1,5 +1,7 @@
 """Tests for the exact Euclidean-motion oracle."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,7 +48,7 @@ class TestEuclideanMotion:
     def test_square_of_glide(self):
         # half-step along coordinate 1 with a flip of coordinate 2
         g = EuclideanMotion((1, -1), (1, 0))
-        assert g.square() == EuclideanMotion((1, 1), (2, 0))
+        assert g.compose(g) == EuclideanMotion((1, 1), (2, 0))
 
     def test_fixed_point_parity(self):
         # free iff some coordinate keeps sign +1 under an odd half-step
@@ -76,13 +78,13 @@ class TestGenerators:
             expected = EuclideanMotion(
                 (1,) * 6, tuple(2 if j == i else 0 for j in range(6))
             )
-            assert s.square() == expected
+            assert s.compose(s) == expected
 
     def test_squares_exhaustive_small_n(self):
         for n in (1, 2, 3):
             for a in enumerate_bott(n):
                 for i, s in enumerate(generators(a)):
-                    sq = s.square()
+                    sq = s.compose(s)
                     assert sq.signs == (1,) * n
                     assert sq.trans2 == tuple(2 if j == i else 0 for j in range(n))
 
@@ -202,6 +204,29 @@ class TestSubsetMotions:
         assert "subset 0x20:" in problems[0]
         assert "subset 0x3f:" in problems[1]
 
+    @pytest.mark.parametrize("row, col", [(0, 2), (2, 4), (3, 5), (5, 0)])
+    def test_holonomy_sabotage_names_each_mask(self, sixdim_bott, monkeypatch, row, col):
+        # flipping bit `row` of the alpha form of column `col` changes the
+        # predicted sign of that column exactly at the masks holding `row`
+        real = euclid_mod.cocycles
+
+        def flipped(p):
+            alphas, betas = real(p)
+            alphas[col] ^= 1 << row
+            return alphas, betas
+
+        monkeypatch.setattr(euclid_mod, "cocycles", flipped)
+        expected = []
+        for mask in range(64):
+            if (mask >> row) & 1:
+                signs = element_of(sixdim_bott, subset_of(mask, 6)).signs
+                cocycle = tuple(-s if j == col else s for j, s in enumerate(signs))
+                expected.append(
+                    f"holonomy mismatch on {sixdim_bott.to_line()} subset {mask:#x}: "
+                    f"motion {signs}, cocycle {cocycle}"
+                )
+        assert check_against_rows(sixdim_bott) == expected
+
 
 class TestSizeGuard:
     def test_limit_is_inclusive(self, monkeypatch):
@@ -260,6 +285,12 @@ def motions(draw, dim=None):
 
 
 @st.composite
+def motion_pairs(draw):
+    n = draw(st.integers(1, 5))
+    return draw(motions(dim=n)), draw(motions(dim=n))
+
+
+@st.composite
 def motion_triples(draw):
     n = draw(st.integers(1, 5))
     return tuple(draw(motions(dim=n)) for _ in range(3))
@@ -277,3 +308,16 @@ class TestGroupLaws:
         assert g.compose(e) == g
         assert e.compose(g) == g
         assert g.compose(g.inverse()) == e
+
+    @given(motion_pairs())
+    def test_composed_motion_is_ordinary(self, pair):
+        # compose skips __post_init__, yet its result is a valid, frozen
+        # motion that equals and hashes like a freshly constructed one
+        g, h = pair
+        r = g.compose(h)
+        fresh = EuclideanMotion(r.signs, r.trans2)
+        assert r == fresh
+        assert hash(r) == hash(fresh)
+        assert type(r.signs) is tuple and type(r.trans2) is tuple
+        with pytest.raises(FrozenInstanceError):
+            r.signs = g.signs
