@@ -18,10 +18,12 @@ theta_j = alpha_j * beta_j span the degree-2 piece of the characteristic
 ideal of the action, and the product of all (1 + alpha_j + beta_j) is a
 lift of the total Stiefel-Whitney class of the quotient manifold.  Its
 degree-1 part decides orientability and, together with ideal membership
-of the degree-2 part, the existence of a Spin structure.  The deciders
-keep forms as int masks (bit i for x_{i+1}, quadratics in encode_degree2
-coordinates) and expand the product only to degree 2; GradedPolyF2
-renders results and serves sw_class at higher degree.
+of the degree-2 part, the existence of a Spin structure.  Matrices and
+forms are int masks: a BottMatrix stores the rows R_i of A, a PMatrix
+the alpha and beta bitplanes of its rows, and the deciders keep forms as
+masks (bit i for x_{i+1}, quadratics in encode_degree2 coordinates) and
+expand the product only to degree 2; GradedPolyF2 renders results and
+serves sw_class at higher degree.
 
 A real Bott manifold carries a Kahler structure exactly when the columns
 of A partition into equal pairs (Ishida's criterion); in that case Spin
@@ -33,7 +35,7 @@ S_i is even or column i of A is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from operator import or_, xor
 from typing import Optional, Sequence
 
 from .f2poly import (
@@ -86,21 +88,29 @@ _ALPHA = (0, 1, 1, 0)
 _BETA = (0, 1, 0, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BottMatrix:
-    """Strictly upper-triangular 0/1 matrix defining a real Bott manifold."""
+    """Strictly upper-triangular 0/1 matrix defining a real Bott manifold.
 
-    rows: tuple[tuple[int, ...], ...]
+    Stored as row masks: bit j of row_masks[i] is a_ij.  BottMatrix(rows)
+    validates a grid of 0/1 rows; _make, for the matrices the library
+    builds itself, does not.  .rows and .column(j) read the masks.
+    """
 
-    def __post_init__(self) -> None:
-        n = len(self.rows)
+    n: int
+    row_masks: tuple[int, ...]
+
+    def __init__(self, rows: Sequence[Sequence[int]]) -> None:
+        n = len(rows)
         if n == 0:
             raise MatrixParseError("empty matrix")
-        for i, row in enumerate(self.rows):
+        masks = []
+        for i, row in enumerate(rows):
             if len(row) != n:
                 raise MatrixParseError(
                     f"row {i + 1} has {len(row)} entries, expected {n} (matrix must be square)"
                 )
+            mask = 0
             for j, e in enumerate(row):
                 if e not in (0, 1):
                     raise MatrixParseError(
@@ -111,18 +121,22 @@ class BottMatrix:
                         f"entry at row {i + 1}, column {j + 1} must be 0 "
                         "(matrix must be strictly upper triangular)"
                     )
+                mask |= e << j
+            masks.append(mask)
+        self.__dict__.update(n=n, row_masks=tuple(masks))  # frozen blocks only setattr
+
+    @classmethod
+    def _make(cls, n: int, row_masks: tuple[int, ...]) -> BottMatrix:
+        a = object.__new__(cls)
+        a.__dict__.update(n=n, row_masks=row_masks)
+        return a
 
     @property
-    def n(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple([tuple([(r >> j) & 1 for j in range(self.n)]) for r in self.row_masks])
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
-
-    @cached_property
-    def row_masks(self) -> tuple[int, ...]:
-        """Per row i, bit j = a_ij: the input of bott_verdicts."""
-        return tuple(sum(e << j for j, e in enumerate(row)) for row in self.rows)
+        return tuple([(r >> j) & 1 for r in self.row_masks])
 
     def to_line(self) -> str:
         """Serialize row-major as 0/1 digits with rows joined by '/'."""
@@ -137,19 +151,28 @@ def mask_line(n: int, rows: Sequence[int]) -> str:
     return "/".join(format(r, f"0{n}b")[::-1] for r in rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PMatrix:
-    """d x n matrix over {0,1,2,3} encoding a diagonal (Z_2)^d action on T^n."""
+    """d x n matrix over {0,1,2,3} encoding a diagonal (Z_2)^d action on T^n.
 
-    rows: tuple[tuple[int, ...], ...]
+    Stored as two bitplanes: bit j of alpha_masks[i] and of beta_masks[i]
+    are alpha and beta of entry (i, j).  PMatrix(rows) validates a grid
+    of rows over 0..3; _make, for the matrices the library builds itself,
+    does not.  .rows reads the bitplanes.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.rows:
+    d: int
+    n: int
+    alpha_masks: tuple[int, ...]
+    beta_masks: tuple[int, ...]
+
+    def __init__(self, rows: Sequence[Sequence[int]]) -> None:
+        if not rows:
             raise MatrixParseError("empty matrix")
-        width = len(self.rows[0])
+        width = len(rows[0])
         if width == 0:
             raise MatrixParseError("empty matrix row")
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             if len(row) != width:
                 raise MatrixParseError(
                     f"row {i + 1} has {len(row)} entries, expected {width}"
@@ -159,28 +182,23 @@ class PMatrix:
                     raise MatrixParseError(
                         f"entry {e!r} at row {i + 1}, column {j + 1} is not in 0..3"
                     )
+        alphas = tuple(sum(_ALPHA[e] << j for j, e in enumerate(row)) for row in rows)
+        betas = tuple(sum(_BETA[e] << j for j, e in enumerate(row)) for row in rows)
+        self.__dict__.update(d=len(rows), n=width, alpha_masks=alphas, beta_masks=betas)
+
+    @classmethod
+    def _make(cls, d: int, n: int, alphas: tuple[int, ...], betas: tuple[int, ...]) -> PMatrix:
+        p = object.__new__(cls)
+        p.__dict__.update(d=d, n=n, alpha_masks=alphas, beta_masks=betas)
+        return p
 
     @property
-    def d(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows[0])
-
-    @cached_property
-    def alpha_masks(self) -> tuple[int, ...]:
-        """Per row, bit j = alpha of the entry in column j."""
-        return tuple(
-            sum(_ALPHA[e] << j for j, e in enumerate(row)) for row in self.rows
-        )
-
-    @cached_property
-    def beta_masks(self) -> tuple[int, ...]:
-        """Per row, bit j = beta of the entry in column j."""
-        return tuple(
-            sum(_BETA[e] << j for j, e in enumerate(row)) for row in self.rows
-        )
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        # (alpha, beta) = (1, 1), (1, 0), (0, 1) are the entries 1, 2, 3
+        return tuple([
+            tuple([2 * ((a ^ b) >> j & 1) + (b >> j & 1) for j in range(self.n)])
+            for a, b in zip(self.alpha_masks, self.beta_masks)
+        ])
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
@@ -238,25 +256,23 @@ def parse_pmatrix(text: str) -> PMatrix:
 
 
 def bott_to_p(a: BottMatrix) -> PMatrix:
-    """P-matrix of a Bott matrix: 1 on the diagonal, 2 where a_ij = 1."""
-    rows = tuple(
-        tuple(1 if i == j else 2 * e for j, e in enumerate(row)) for i, row in enumerate(a.rows)
-    )
-    return PMatrix(rows)
+    """P-matrix of a Bott matrix: 1 on the diagonal, 2 where a_ij = 1, so
+    row i has alpha R_i | 2^i and beta 2^i."""
+    diagonal = tuple([1 << i for i in range(a.n)])
+    alphas = tuple(map(or_, a.row_masks, diagonal))
+    return PMatrix._make(a.n, a.n, alphas, diagonal)
 
 
 def pmatrix_to_bott(p: PMatrix) -> Optional[BottMatrix]:
     """The Bott matrix a with bott_to_p(a) == p, or None if there is none.
 
-    a_ij = 1 where p has a 2 above the diagonal; a is the answer only if
-    it maps back to p, which checks the rest of the Bott shape.
+    Row i needs beta 2^i (1 or 3 only on the diagonal) and lowest alpha
+    bit 2^i (1 on the diagonal, 0 left of it); its other alpha bits are R_i.
     """
-    if p.d != p.n:
+    diagonal = tuple([1 << i for i in range(p.n)])
+    if p.beta_masks != diagonal or any(a & -a != b for a, b in zip(p.alpha_masks, diagonal)):
         return None
-    a = BottMatrix(
-        tuple(tuple(int(j > i and e == 2) for j, e in enumerate(r)) for i, r in enumerate(p.rows))
-    )
-    return a if bott_to_p(a) == p else None
+    return BottMatrix._make(p.n, tuple(map(xor, p.alpha_masks, diagonal)))
 
 
 def free_at_subset(p: PMatrix, subset_mask: int) -> bool:
@@ -318,14 +334,20 @@ def cocycles(p: PMatrix) -> tuple[list[int], list[int]]:
     Bit i of each mask is the coefficient of x_{i+1}; GradedPolyF2.linear
     renders one.
     """
-    alphas = [0] * p.n
-    betas = [0] * p.n
-    for i, row in enumerate(p.rows):
-        for j, e in enumerate(row):
-            if e:
-                alphas[j] |= _ALPHA[e] << i
-                betas[j] |= _BETA[e] << i
-    return alphas, betas
+    return _transpose(p.alpha_masks, p.n), _transpose(p.beta_masks, p.n)
+
+
+def _transpose(masks: Sequence[int], width: int) -> list[int]:
+    """Bit i of out[j] is bit j of masks[i], walking only the set bits."""
+    out = [0] * width
+    bit = 1
+    for m in masks:
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] |= bit
+            m ^= low
+        bit <<= 1
+    return out
 
 
 def _theta_matrix(d: int, alphas: list[int], betas: list[int]) -> F2Matrix:
@@ -389,8 +411,8 @@ def is_kahler(a: BottMatrix) -> Optional[KahlerPairing]:
     """
     if a.n % 2:
         return None
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for j, column in enumerate(zip(*a.rows)):
+    groups: dict[int, list[int]] = {}
+    for j, column in enumerate(_transpose(a.row_masks, a.n)):
         groups.setdefault(column, []).append(j)
     classes = sorted(groups.values(), key=lambda g: g[0])
     if any(len(g) % 2 for g in classes):
@@ -445,9 +467,9 @@ def spin_kahler_closed_form(a: BottMatrix, pairing: KahlerPairing) -> tuple[bool
     picks the other representative and gives the same verdict.
     """
     _validate_pairing(a, pairing)
-    n = a.n
-    s_vector = tuple(sum(a.rows[i][r] for r, _ in pairing.pairs) & 1 for i in range(n))
-    zero_col = tuple(not any(a.column(i)) for i in range(n))
+    rows = a.rows
+    s_vector = tuple(sum(row[r] for r, _ in pairing.pairs) & 1 for row in rows)
+    zero_col = tuple(not any(column) for column in zip(*rows))
     spin = all(s == 0 or zero_col[i] for i, s in enumerate(s_vector))
     return spin, s_vector
 
@@ -546,14 +568,7 @@ def bott_verdicts(n: int, rows: Sequence[int]) -> tuple[bool, bool, bool]:
     orientable = not any(r.bit_count() & 1 for r in rows)
     kahler = False
     if not n & 1:
-        cols = [0] * n
-        bit = 1  # row i as a column bit
-        for r in rows:
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= bit
-                r ^= low
-            bit <<= 1
+        cols = _transpose(rows, n)
         ordered = sorted(cols)
         kahler = ordered[::2] == ordered[1::2]
     spin = orientable

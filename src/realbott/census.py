@@ -132,14 +132,7 @@ def matrix_at(n: int, index: int) -> BottMatrix:
     if not 0 <= index < (1 << m):
         raise ValueError(f"index {index} out of range for n={n}")
     layout, table = _row_layout(n, False)
-    return _bott(n, [table[(index >> shift) & mask] for shift, mask in layout])
-
-
-def _bott(n: int, rows: Sequence[int]) -> BottMatrix:
-    """The BottMatrix whose row i has bit j = a_ij."""
-    # list comprehensions: generator expressions made matrix_at(7, i) about 20% slower
-    cols = range(n)
-    return BottMatrix(tuple([tuple([(r >> j) & 1 for j in cols]) for r in rows]))
+    return BottMatrix._make(n, tuple([table[(index >> shift) & mask] for shift, mask in layout]))
 
 
 def enumerate_bott(n: int) -> Iterator[BottMatrix]:
@@ -247,7 +240,7 @@ def _classify_range(
             offender = (_index_of(n, rows), mask_line(n, rows), str(exc))
             break
         if check_oracles:
-            a = _bott(n, rows)
+            a = BottMatrix._make(n, tuple(rows))
             problems = cross_check(a, verdicts)
             if problems:
                 offender = (index, a.to_line(), problems[0])

@@ -95,8 +95,8 @@ def generators(a: BottMatrix) -> tuple[EuclideanMotion, ...]:
     translates coordinate i by one half; s_n is the pure half-step."""
     n = a.n
     out = []
-    for i in range(n):
-        signs = tuple(-1 if j > i and a.rows[i][j] else 1 for j in range(n))
+    for i, row in enumerate(a.rows):
+        signs = tuple(-1 if j > i and row[j] else 1 for j in range(n))
         trans2 = tuple(1 if j == i else 0 for j in range(n))
         out.append(EuclideanMotion(signs, trans2))
     return tuple(out)

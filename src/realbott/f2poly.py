@@ -113,10 +113,6 @@ class GradedPolyF2:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
-
     def _check_vars(self, other: GradedPolyF2) -> None:
         if self.num_vars != other.num_vars:
             raise ValueError(
@@ -148,11 +144,6 @@ class GradedPolyF2:
                     continue
                 acc ^= {tuple(a + b for a, b in zip(m1, m2))}
         return GradedPolyF2._make(self.num_vars, frozenset(acc))
-
-    def truncate(self, max_degree: int) -> GradedPolyF2:
-        return GradedPolyF2._make(
-            self.num_vars, frozenset(m for m in self.terms if sum(m) <= max_degree)
-        )
 
     def graded_component(self, k: int) -> GradedPolyF2:
         """The homogeneous piece of total degree k."""

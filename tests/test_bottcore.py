@@ -3,6 +3,7 @@
 import itertools
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from realbott import (
     BottMatrix,
+    CensusConfig,
     GradedPolyF2,
     InconsistencyError,
     KahlerPairing,
@@ -31,6 +33,7 @@ from realbott import (
     parse_bott,
     parse_pmatrix,
     pmatrix_to_bott,
+    run_census,
     spin_kahler_closed_form,
     spin_membership,
     sw_class,
@@ -130,6 +133,64 @@ class TestBottToP:
         assert pmatrix_to_bott(PMatrix(((2,),))) is None
         assert pmatrix_to_bott(PMatrix(((1, 3), (0, 1)))) is None
         assert pmatrix_to_bott(PMatrix(((1, 0, 0), (0, 1, 0)))) is None
+
+
+class TestMaskStorage:
+    """The matrices store masks; the constructors validate outside input only."""
+
+    def test_library_paths_skip_validation(self, monkeypatch, sixdim_bott):
+        a = sixdim_bott
+        p = bott_to_p(a)
+
+        def refuse(self, rows):
+            raise AssertionError("a library-built matrix went through validation")
+
+        monkeypatch.setattr(BottMatrix, "__init__", refuse)
+        monkeypatch.setattr(PMatrix, "__init__", refuse)
+        assert bott_to_p(a) == p
+        assert pmatrix_to_bott(p) == a
+        assert matrix_at(6, 12345).n == 6
+        assert not analyze(a).spin
+        assert not spin_membership(a)[0]
+        assert check_against_rows(a) == []
+        row, _ = run_census(CensusConfig(n=4, check_oracles=True))
+        assert row.to_csv() == "4,64,8,6,8,6,0"
+
+    def test_list_and_tuple_built_are_equal(self):
+        pairs = [
+            (BottMatrix([[0, 1], [0, 0]]), BottMatrix(((0, 1), (0, 0)))),
+            (PMatrix([[1, 2, 3], [0, 1, 2]]), PMatrix(((1, 2, 3), (0, 1, 2)))),
+        ]
+        for listed, tupled in pairs:
+            assert listed == tupled
+            assert hash(listed) == hash(tupled)
+            assert listed.rows == tupled.rows
+
+    def test_mask_built_equal_validated(self, sixdim_bott):
+        bott = [sixdim_bott] + [a for n in (1, 2, 3, 4) for a in enumerate_bott(n)]
+        bott += [matrix_at(6, k) for k in (0, 1, 4097, 32767)]
+        built = bott + [bott_to_p(a) for a in bott]
+        built += [pmatrix_to_bott(bott_to_p(a)) for a in bott]
+        for m in built:
+            validated = type(m)(m.rows)
+            assert m == validated
+            assert hash(m) == hash(validated)
+
+    def test_fields_are_frozen(self, sixdim_bott):
+        a = sixdim_bott
+        p = bott_to_p(a)
+        for m, field in [
+            (a, "n"),
+            (a, "row_masks"),
+            (matrix_at(3, 5), "row_masks"),
+            (p, "d"),
+            (p, "n"),
+            (p, "alpha_masks"),
+            (p, "beta_masks"),
+            (PMatrix(((1, 2),)), "beta_masks"),
+        ]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(m, field, getattr(m, field))
 
 
 @st.composite
@@ -696,8 +757,14 @@ def has_bott_shape(p: PMatrix) -> bool:
     )
 
 
+def lift_matches_shape(p: PMatrix) -> bool:
+    b = pmatrix_to_bott(p)
+    return (b is not None) == has_bott_shape(p) and (b is None or bott_to_p(b) == p)
+
+
 class TestPmatrixToBottTwin:
-    """pmatrix_to_bott against a direct shape predicate, one entry mutated."""
+    """pmatrix_to_bott against a direct shape predicate: every P-matrix with
+    d, n <= 2, and Bott P-matrices with one entry mutated."""
 
     @settings(max_examples=300, deadline=None)
     @given(bott_matrices(max_n=6), st.data())
@@ -706,11 +773,36 @@ class TestPmatrixToBottTwin:
         i = data.draw(st.integers(0, a.n - 1))
         j = data.draw(st.integers(0, a.n - 1))
         rows[i][j] = data.draw(st.integers(0, 3))
-        p = PMatrix(tuple(map(tuple, rows)))
-        b = pmatrix_to_bott(p)
-        assert (b is not None) == has_bott_shape(p)
-        if b is not None:
-            assert bott_to_p(b) == p
+        assert lift_matches_shape(PMatrix(tuple(map(tuple, rows))))
+
+    def test_every_pmatrix_n_le_2(self):
+        count = 0
+        for d, n in itertools.product((1, 2), repeat=2):
+            for entries in itertools.product(range(4), repeat=d * n):
+                rows = tuple(entries[i * n : (i + 1) * n] for i in range(d))
+                p = PMatrix(rows)
+                assert p.rows == rows
+                assert lift_matches_shape(p), rows
+                count += 1
+        assert count == 4 + 16 + 16 + 256
+
+    def test_every_one_entry_mutation_n_le_4(self):
+        lifted = 0
+        for n in (1, 2, 3, 4):
+            for a in enumerate_bott(n):
+                rows = bott_to_p(a).rows
+                for i, j, e in itertools.product(range(n), range(n), range(4)):
+                    mutated = [list(row) for row in rows]
+                    mutated[i][j] = e
+                    p = PMatrix(tuple(map(tuple, mutated)))
+                    assert lift_matches_shape(p), mutated
+                    lifted += pmatrix_to_bott(p) is not None
+        # each Bott P-matrix comes back once per entry left unchanged and
+        # once per 0 <-> 2 swap above the diagonal
+        assert lifted == sum(
+            (1 << cell_count) * (n * n + cell_count)
+            for n, cell_count in ((1, 0), (2, 1), (3, 3), (4, 6))
+        )
 
 
 def predecessor_masks(a: BottMatrix) -> list[int]:
