@@ -83,9 +83,49 @@ class InconsistencyError(RuntimeError):
     """Two routes that must agree disagreed; always an implementation bug."""
 
 
-# alpha and beta of the four circle automorphisms 0..3 (see above)
-_ALPHA = (0, 1, 1, 0)
-_BETA = (0, 1, 0, 1)
+def _grid_masks(rows: Sequence[Sequence[int]], bott: bool) -> tuple[int, list[int], list[int]]:
+    """Validate a grid of entries row-major and return (width, lows, highs).
+
+    Bits j of lows[i] and highs[i] are bits 0 and 1 of entry (i, j).  Per
+    row it checks the length (the row count for a Bott matrix, row 1's
+    width otherwise), then that each entry is an int in 0..1 (Bott) or
+    0..3, then, for a Bott matrix, that nothing sits on or below the
+    diagonal; the first fault raises MatrixParseError.
+    """
+    if not rows:
+        raise MatrixParseError("empty matrix")
+    width = len(rows) if bott else len(rows[0])
+    if width == 0:
+        raise MatrixParseError("empty matrix row")
+    top, expected = (1, "is not 0 or 1") if bott else (3, "is not in 0..3")
+    lows: list[int] = []
+    highs: list[int] = []
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise MatrixParseError(
+                f"row {i + 1} has {len(row)} entries, expected {width}"
+                + (" (matrix must be square)" if bott else "")
+            )
+        low = high = 0
+        for j, e in enumerate(row):
+            if not isinstance(e, int) or not 0 <= e <= top:
+                raise MatrixParseError(f"entry {e!r} at row {i + 1}, column {j + 1} {expected}")
+            low |= (e & 1) << j
+            high |= (e >> 1) << j
+        below = low & ((2 << i) - 1)
+        if bott and below:
+            raise MatrixParseError(
+                f"entry at row {i + 1}, column {(below & -below).bit_length()} must be 0 "
+                "(matrix must be strictly upper triangular)"
+            )
+        lows.append(low)
+        highs.append(high)
+    return width, lows, highs
+
+
+def _render(m: BottMatrix | PMatrix) -> str:
+    """Rows of entries joined by spaces, one row a line."""
+    return "\n".join(" ".join(map(str, row)) for row in m.rows)
 
 
 @dataclass(frozen=True, init=False)
@@ -101,28 +141,7 @@ class BottMatrix:
     row_masks: tuple[int, ...]
 
     def __init__(self, rows: Sequence[Sequence[int]]) -> None:
-        n = len(rows)
-        if n == 0:
-            raise MatrixParseError("empty matrix")
-        masks = []
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise MatrixParseError(
-                    f"row {i + 1} has {len(row)} entries, expected {n} (matrix must be square)"
-                )
-            mask = 0
-            for j, e in enumerate(row):
-                if e not in (0, 1):
-                    raise MatrixParseError(
-                        f"entry {e!r} at row {i + 1}, column {j + 1} is not 0 or 1"
-                    )
-                if i >= j and e != 0:
-                    raise MatrixParseError(
-                        f"entry at row {i + 1}, column {j + 1} must be 0 "
-                        "(matrix must be strictly upper triangular)"
-                    )
-                mask |= e << j
-            masks.append(mask)
+        n, masks, _ = _grid_masks(rows, bott=True)
         self.__dict__.update(n=n, row_masks=tuple(masks))  # frozen blocks only setattr
 
     @classmethod
@@ -142,8 +161,7 @@ class BottMatrix:
         """Serialize row-major as 0/1 digits with rows joined by '/'."""
         return mask_line(self.n, self.row_masks)
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
+    __str__ = _render
 
 
 def mask_line(n: int, rows: Sequence[int]) -> str:
@@ -167,24 +185,10 @@ class PMatrix:
     beta_masks: tuple[int, ...]
 
     def __init__(self, rows: Sequence[Sequence[int]]) -> None:
-        if not rows:
-            raise MatrixParseError("empty matrix")
-        width = len(rows[0])
-        if width == 0:
-            raise MatrixParseError("empty matrix row")
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise MatrixParseError(
-                    f"row {i + 1} has {len(row)} entries, expected {width}"
-                )
-            for j, e in enumerate(row):
-                if e not in (0, 1, 2, 3):
-                    raise MatrixParseError(
-                        f"entry {e!r} at row {i + 1}, column {j + 1} is not in 0..3"
-                    )
-        alphas = tuple(sum(_ALPHA[e] << j for j, e in enumerate(row)) for row in rows)
-        betas = tuple(sum(_BETA[e] << j for j, e in enumerate(row)) for row in rows)
-        self.__dict__.update(d=len(rows), n=width, alpha_masks=alphas, beta_masks=betas)
+        n, lows, highs = _grid_masks(rows, bott=False)
+        # beta is bit 0 of an entry and alpha is bit 0 XOR bit 1 (see .rows)
+        alphas = tuple(map(xor, lows, highs))
+        self.__dict__.update(d=len(rows), n=n, alpha_masks=alphas, beta_masks=tuple(lows))
 
     @classmethod
     def _make(cls, d: int, n: int, alphas: tuple[int, ...], betas: tuple[int, ...]) -> PMatrix:
@@ -200,45 +204,27 @@ class PMatrix:
             for a, b in zip(self.alpha_masks, self.beta_masks)
         ])
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
+    __str__ = _render
 
 
-def _parse_matrix_text(text: str, alphabet: str) -> tuple[tuple[int, ...], ...]:
-    """Shared digit-grid parser: '/' or newline ends a row, '#' starts a comment."""
+def _parse_matrix_text(text: str, alphabet: str) -> list[tuple[int, ...]]:
+    """Shared digit-grid reader: '/' or newline ends a row, '#' starts a comment.
+
+    It checks only characters; the matrix constructors check the shape.
+    """
     rows: list[tuple[int, ...]] = []
-    current: list[int] = []
-
-    def flush() -> None:
-        if current:
-            rows.append(tuple(current))
-            current.clear()
-
     for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        for ch in line:
-            if ch.isspace():
-                continue
-            if ch == "/":
-                flush()
-            elif ch in alphabet:
-                current.append(int(ch))
-            else:
+        for chunk in line.split("#", 1)[0].split("/"):
+            row = "".join(chunk.split())
+            bad = row.lstrip(alphabet)  # from the first character not in the alphabet
+            if bad:
                 raise MatrixParseError(
-                    f"invalid entry {ch!r} at row {len(rows) + 1}, "
-                    f"column {len(current) + 1} (expected one of {','.join(alphabet)})"
+                    f"invalid entry {bad[0]!r} at row {len(rows) + 1}, column "
+                    f"{len(row) - len(bad) + 1} (expected one of {','.join(alphabet)})"
                 )
-        flush()
-    flush()
-    if not rows:
-        raise MatrixParseError("no matrix entries found")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise MatrixParseError(
-                f"row {i + 1} has {len(row)} entries, expected {width} (ragged rows)"
-            )
-    return tuple(rows)
+            if row:
+                rows.append(tuple(map(int, row)))
+    return rows
 
 
 def parse_bott(text: str) -> BottMatrix:

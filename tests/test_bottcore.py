@@ -111,6 +111,73 @@ class TestParsing:
         a = parse_bott(SIXDIM_BOTT_TEXT)
         assert parse_bott(a.to_line()) == a
 
+    @pytest.mark.parametrize("bad", [1.0, None, "1"])
+    def test_non_int_entries_named(self, bad):
+        with pytest.raises(MatrixParseError, match="row 1, column 2"):
+            BottMatrix(((0, bad), (0, 0)))
+        with pytest.raises(MatrixParseError, match="row 1, column 1"):
+            PMatrix(((bad,),))
+
+    def test_bool_entries_are_ints(self):
+        assert BottMatrix(((0, True), (0, 0))).row_masks == (2, 0)
+        assert PMatrix(((True, False),)).rows == ((1, 0),)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_text_and_grid_fail_alike(self, data):
+        """The reader checks characters only; the constructors check the rest.
+
+        A grid may hold one value past the alphabet (2 for a Bott matrix,
+        4 for a P-matrix), ragged rows, no rows, or entries on and below
+        the diagonal; its text, with '/' or newline ends, whitespace and
+        comments, fails in the reader at the first such value, and
+        otherwise exactly as the constructor fails on the grid.
+        """
+        bott = data.draw(st.booleans())
+        parse, make, alphabet = (
+            (parse_bott, BottMatrix, "01") if bott else (parse_pmatrix, PMatrix, "0123")
+        )
+        # most grids keep to the alphabet; the rest may hold 2 or 4 as well
+        top = len(alphabet) - data.draw(st.sampled_from([1, 1, 1, 0]))
+        d = data.draw(st.integers(0, 5))
+        width = d if bott else data.draw(st.integers(1, 5))
+        upper = bott and data.draw(st.booleans())
+        grid = []
+        for i in range(d):
+            length = data.draw(st.sampled_from([width, width, width, 1, 2, 6]))
+            grid.append([
+                0 if upper and j <= i else data.draw(st.integers(0, top))
+                for j in range(length)
+            ])
+        gap = st.sampled_from(["", " ", "  ", "\t"])
+        comment = st.text(alphabet="0124x /#", max_size=4).map(lambda c: " #" + c)
+        text = data.draw(st.sampled_from(["", "# title\n", "\n"]))
+        for row in grid:
+            text += data.draw(gap).join(map(str, row)) + data.draw(gap)
+            text += data.draw(st.sampled_from(["/", " / ", "\n"]) | comment.map(lambda c: c + "\n"))
+
+        outside = [
+            (i, j, e) for i, row in enumerate(grid) for j, e in enumerate(row) if e >= len(alphabet)
+        ]
+        if outside:
+            i, j, e = outside[0]
+            message = (
+                f"invalid entry '{e}' at row {i + 1}, column {j + 1} "
+                f"(expected one of {','.join(alphabet)})"
+            )
+            with pytest.raises(MatrixParseError) as parsed:
+                parse(text)
+            assert str(parsed.value) == message
+            return
+        try:
+            from_grid = make(grid)
+        except MatrixParseError as exc:
+            with pytest.raises(MatrixParseError) as parsed:
+                parse(text)
+            assert str(parsed.value) == str(exc)
+        else:
+            assert parse(text) == from_grid
+
 
 class TestBottToP:
     def test_zero(self):

@@ -147,12 +147,41 @@ class TestCheck:
         assert report["spinMethod"] == "general"
         assert report["dimension"] == 3
 
-    def test_ragged_rows_exit_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            ("0 1 0\n0 0\n0 0 0\n", [], "row 2 has 2 entries, expected 3 (matrix must be square)"),
+            ("1 2 3\n0 1\n", ["--pmat"], "row 2 has 2 entries, expected 3"),
+            ("", [], "empty matrix"),
+            ("# nothing here\n", [], "empty matrix"),
+            ("0 1 0\n0 0 0\n", [], "row 1 has 3 entries, expected 2 (matrix must be square)"),
+            ("0 2\n0 0\n", [], "invalid entry '2' at row 1, column 2 (expected one of 0,1)"),
+            ("0 x\n0 0\n", [], "invalid entry 'x' at row 1, column 2 (expected one of 0,1)"),
+            (
+                "0 1\n1 0\n",
+                [],
+                "entry at row 2, column 1 must be 0 (matrix must be strictly upper triangular)",
+            ),
+            (
+                "1 0/0 0 0\n",
+                [],
+                "entry at row 1, column 1 must be 0 (matrix must be strictly upper triangular)",
+            ),
+            ("4 0\n0 0\n", ["--pmat"], "invalid entry '4' at row 1, column 1 (expected one of 0,1,2,3)"),
+        ],
+        ids=[
+            "ragged-bott", "ragged-pmat", "empty", "comment-only", "non-square",
+            "bott-digit-2", "letter", "lower-triangle", "diagonal-first", "pmat-digit-4",
+        ],
+    )
+    def test_ragged_rows_exit_2(self, capsys, tmp_path, text, flags, message):
+        # one input error: exit 2, nothing on stdout, one error line naming it
         path = tmp_path / "bad.txt"
-        path.write_text("0 1 0\n0 0\n0 0 0\n")
-        code, _, err = run(capsys, "check", str(path))
+        path.write_text(text)
+        code, out, err = run(capsys, "check", str(path), *flags)
         assert code == 2
-        assert "row 2" in err
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "nope.txt"))
