@@ -110,8 +110,10 @@ def _grid_masks(rows: Sequence[Sequence[int]], bott: bool) -> tuple[int, list[in
         for j, e in enumerate(row):
             if not isinstance(e, int) or not 0 <= e <= top:
                 raise MatrixParseError(f"entry {e!r} at row {i + 1}, column {j + 1} {expected}")
-            low |= (e & 1) << j
-            high |= (e >> 1) << j
+            if e > 1:  # never in a Bott grid, which builds no bit-1 plane
+                high |= 1 << j
+                e -= 2
+            low |= e << j
         below = low & ((2 << i) - 1)
         if bott and below:
             raise MatrixParseError(

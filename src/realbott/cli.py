@@ -23,6 +23,7 @@ from typing import Optional
 
 from .bottcore import (
     InconsistencyError,
+    KahlerPairing,
     ManifoldReport,
     PMatrix,
     analyze,
@@ -59,13 +60,18 @@ def _load_pmatrix(args: argparse.Namespace) -> PMatrix:
     return bott_to_p(parse_bott(text))
 
 
+def _pairs(pairing: Optional[KahlerPairing]) -> Optional[list[list[int]]]:
+    """A Kahler pairing as 1-based [[i, j], ...]; None stays None."""
+    return None if pairing is None else [[i + 1, j + 1] for i, j in pairing.pairs]
+
+
+def _pairs_text(pairs: list[list[int]]) -> str:
+    return " ".join(f"({i},{j})" for i, j in pairs)
+
+
 def _report(rep: ManifoldReport, bott: bool) -> dict:
     """check's report; the Kahler verdict is null unless the input is a Bott matrix."""
-    pairing = None
-    s_vector = None
-    if rep.kahler is not None:
-        pairing = [[i + 1, j + 1] for i, j in rep.kahler.pairs]
-        s_vector = list(rep.s_vector)
+    s_vector = None if rep.kahler is None else list(rep.s_vector)
     return {
         "dimension": rep.n,
         "free": rep.free,
@@ -74,7 +80,7 @@ def _report(rep: ManifoldReport, bott: bool) -> dict:
         "w1": str(rep.w1),
         "w2": str(rep.w2raw),
         "kahler": rep.kahler is not None if bott else None,
-        "pairing": pairing,
+        "pairing": _pairs(rep.kahler),
         "sVector": s_vector,
         "spin": rep.spin,
         "spinMethod": "both-agree" if rep.kahler is not None else "general",
@@ -92,7 +98,7 @@ def _print_report(report: dict, as_json: bool) -> None:
         elif isinstance(value, bool):
             text = "true" if value else "false"
         elif key == "pairing":
-            text = " ".join(f"({i},{j})" for i, j in value)
+            text = _pairs_text(value)
         elif key == "sVector":
             text = " ".join(str(v) for v in value)
         else:
@@ -147,21 +153,13 @@ def _cmd_sw(args: argparse.Namespace) -> int:
 
 def _cmd_kahler(args: argparse.Namespace) -> int:
     a = parse_bott(_read(args.path))
-    pairing = is_kahler(a)
+    pairs = _pairs(is_kahler(a))
     if args.json:
-        payload = {
-            "dimension": a.n,
-            "kahler": pairing is not None,
-            "pairing": None
-            if pairing is None
-            else [[i + 1, j + 1] for i, j in pairing.pairs],
-        }
-        print(json.dumps(payload))
-    elif pairing is None:
+        print(json.dumps({"dimension": a.n, "kahler": pairs is not None, "pairing": pairs}))
+    elif pairs is None:
         print("kahler: false")
     else:
-        pairs = " ".join(f"({i + 1},{j + 1})" for i, j in pairing.pairs)
-        print(f"kahler: true  pairing {pairs}")
+        print(f"kahler: true  pairing {_pairs_text(pairs)}")
     return 0
 
 

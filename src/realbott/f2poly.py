@@ -22,6 +22,7 @@ immutable, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from typing import Iterable, Sequence
 
@@ -37,11 +38,6 @@ __all__ = [
 ]
 
 Monomial = tuple[int, ...]
-
-
-def monomial_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
-    """Graded-lex sort key: total degree first, earlier variables first."""
-    return (sum(m), tuple(-e for e in m))
 
 
 def format_monomial(m: Monomial) -> str:
@@ -124,15 +120,10 @@ class GradedPolyF2:
         return GradedPolyF2._make(self.num_vars, self.terms ^ other.terms)
 
     def __mul__(self, other: GradedPolyF2) -> GradedPolyF2:
-        self._check_vars(other)
-        acc: set[Monomial] = set()
-        for m1 in self.terms:
-            for m2 in other.terms:
-                acc ^= {tuple(a + b for a, b in zip(m1, m2))}
-        return GradedPolyF2._make(self.num_vars, frozenset(acc))
+        return self.mul_truncated(other, math.inf)
 
-    def mul_truncated(self, other: GradedPolyF2, max_degree: int) -> GradedPolyF2:
-        """Product with every monomial of total degree > max_degree dropped."""
+    def mul_truncated(self, other: GradedPolyF2, max_degree: float) -> GradedPolyF2:
+        """Product with every monomial of total degree > max_degree dropped (none at math.inf)."""
         self._check_vars(other)
         acc: set[Monomial] = set()
         for m1 in self.terms:
@@ -154,7 +145,8 @@ class GradedPolyF2:
         )
 
     def sorted_terms(self) -> list[Monomial]:
-        return sorted(self.terms, key=monomial_key)
+        """Graded lex: by degree, then (stably) earlier variables first."""
+        return sorted(sorted(self.terms, reverse=True), key=sum)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedPolyF2):
@@ -173,7 +165,7 @@ class GradedPolyF2:
         return " + ".join(format_monomial(m) for m in self.sorted_terms())
 
     def __repr__(self) -> str:
-        return f"GradedPolyF2({self.num_vars}, {sorted(self.terms, key=monomial_key)!r})"
+        return f"GradedPolyF2({self.num_vars}, {self.sorted_terms()!r})"
 
 
 # Size guard on the running product of truncated_product.  Its term count

@@ -312,6 +312,29 @@ class TestKahler:
         assert code == 0
         assert "false" in out
 
+    @pytest.mark.parametrize(
+        "text, human, payload",
+        [
+            (
+                SIXDIM_BOTT_TEXT,
+                "kahler: true  pairing (1,2) (3,4) (5,6)",
+                '{"dimension": 6, "kahler": true, "pairing": [[1, 2], [3, 4], [5, 6]]}',
+            ),
+            (KLEIN_TEXT, "kahler: false", '{"dimension": 2, "kahler": false, "pairing": null}'),
+            (
+                "0 0 0 0\n" * 4,
+                "kahler: true  pairing (1,2) (3,4)",
+                '{"dimension": 4, "kahler": true, "pairing": [[1, 2], [3, 4]]}',
+            ),
+        ],
+        ids=["sixdim", "klein", "zero4"],
+    )
+    def test_exact_stdout(self, capsys, tmp_path, text, human, payload):
+        path = tmp_path / "matrix.txt"
+        path.write_text(text)
+        assert run(capsys, "kahler", str(path)) == (0, human + "\n", "")
+        assert run(capsys, "kahler", str(path), "--json") == (0, payload + "\n", "")
+
 
 class TestCensus:
     def test_csv_n2(self, capsys):

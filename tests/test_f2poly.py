@@ -35,6 +35,41 @@ def truncate(p: GradedPolyF2, max_degree: int) -> GradedPolyF2:
     return GradedPolyF2(p.num_vars, [m for m in p.terms if sum(m) <= max_degree])
 
 
+def monomial_key(m):
+    """Reference graded-lex key: total degree first, earlier variables first."""
+    return (sum(m), tuple(-e for e in m))
+
+
+def format_monomial(m):
+    """Reference monomial text: juxtaposed powers such as ``x1x3^2``, ``1`` for the unit."""
+    if not any(m):
+        return "1"
+    parts = []
+    for i, e in enumerate(m):
+        if e == 1:
+            parts.append(f"x{i + 1}")
+        elif e > 1:
+            parts.append(f"x{i + 1}^{e}")
+    return "".join(parts)
+
+
+def reference_product(p: GradedPolyF2, q: GradedPolyF2) -> GradedPolyF2:
+    """p * q by the plain double loop over term pairs, cancelling in pairs."""
+    acc = set()
+    for m1 in p.terms:
+        for m2 in q.terms:
+            acc ^= {tuple(a + b for a, b in zip(m1, m2))}
+    return GradedPolyF2(p.num_vars, acc)
+
+
+@st.composite
+def rendering_polys(draw, num_vars=None):
+    """Polynomials in d <= 6 variables with exponents 0..3 and 0-12 terms."""
+    d = draw(st.integers(0, 6)) if num_vars is None else num_vars
+    monomials = st.tuples(*([st.integers(0, 3)] * d))
+    return GradedPolyF2(d, draw(st.lists(monomials, max_size=12)))
+
+
 # The six truncated-product factors of the six-dimensional reference
 # manifold: 1 + alpha_j + beta_j with sign forms 0, 0, x1+x2, x1+x2,
 # x1+x2+x3+x4, x1+x2+x3+x4, as masks over six variables.
@@ -113,6 +148,21 @@ class TestGradedPolyF2:
         # degree ascending, then earlier variables first within a degree
         p = poly(3, (0, 2, 0), (1, 1, 0), (0, 0, 1), (0, 0, 0))
         assert str(p) == "1 + x3 + x1x2 + x2^2"
+
+    @given(rendering_polys())
+    def test_rendering_matches_reference(self, p):
+        order = sorted(p.terms, key=monomial_key)
+        assert p.sorted_terms() == order
+        expected = " + ".join(format_monomial(m) for m in order) if order else "0"
+        assert str(p) == expected
+        assert repr(p) == f"GradedPolyF2({p.num_vars}, {order!r})"
+
+    @given(st.data())
+    def test_product_matches_reference(self, data):
+        d = data.draw(st.integers(0, 6), label="num_vars")
+        p = data.draw(rendering_polys(d), label="p")
+        q = data.draw(rendering_polys(d), label="q")
+        assert p * q == reference_product(p, q)
 
 
 class TestTruncatedProduct:
