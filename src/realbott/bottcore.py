@@ -428,23 +428,6 @@ def spin_membership(m: BottMatrix | PMatrix) -> tuple[bool, GradedPolyF2, Graded
     return spin, GradedPolyF2.linear(d, w1), decode_degree2(d, w2)
 
 
-def _validate_pairing(a: BottMatrix, pairing: KahlerPairing) -> None:
-    n = a.n
-    seen: set[int] = set()
-    for i, j in pairing.pairs:
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ValueError(f"pair ({i}, {j}) is not a pair of distinct column indices")
-        if i in seen or j in seen:
-            raise ValueError(f"column index reused in pairing at pair ({i}, {j})")
-        seen.update((i, j))
-        if a.column(i) != a.column(j):
-            raise ValueError(
-                f"pairing inconsistent with matrix: columns {i + 1} and {j + 1} differ"
-            )
-    if len(seen) != n:
-        raise ValueError("pairing does not cover every column exactly once")
-
-
 def spin_kahler_closed_form(a: BottMatrix, pairing: KahlerPairing) -> tuple[bool, tuple[int, ...]]:
     """Closed-form Spin test for a Kahler Bott matrix: (verdict, S-vector).
 
@@ -452,13 +435,28 @@ def spin_kahler_closed_form(a: BottMatrix, pairing: KahlerPairing) -> tuple[bool
     the manifold is Spin iff every row has S_i even or column i of A
     entirely zero (the latter puts x_i^2 in the characteristic ideal).
     Paired columns are equal, so listing a pair the other way round
-    picks the other representative and gives the same verdict.
+    picks the other representative and gives the same verdict.  A
+    pairing that does not cover the columns with equal pairs raises ValueError.
     """
-    _validate_pairing(a, pairing)
-    rows = a.rows
-    s_vector = tuple(sum(row[r] for r, _ in pairing.pairs) & 1 for row in rows)
-    zero_col = tuple(not any(column) for column in zip(*rows))
-    spin = all(s == 0 or zero_col[i] for i, s in enumerate(s_vector))
+    n = a.n
+    cols = _transpose(a.row_masks, n)
+    seen = reps = 0
+    for i, j in pairing.pairs:
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            raise ValueError(f"pair ({i}, {j}) is not a pair of distinct column indices")
+        pair = (1 << i) | (1 << j)
+        if seen & pair:
+            raise ValueError(f"column index reused in pairing at pair ({i}, {j})")
+        seen |= pair
+        if cols[i] != cols[j]:
+            raise ValueError(
+                f"pairing inconsistent with matrix: columns {i + 1} and {j + 1} differ"
+            )
+        reps |= 1 << i
+    if seen != (1 << n) - 1:
+        raise ValueError("pairing does not cover every column exactly once")
+    s_vector = tuple([(r & reps).bit_count() & 1 for r in a.row_masks])
+    spin = all(not s or not c for s, c in zip(s_vector, cols))
     return spin, s_vector
 
 
@@ -492,10 +490,9 @@ def analyze(a: BottMatrix) -> ManifoldReport:
     pairing = is_kahler(a)
     s_vector: Optional[tuple[int, ...]] = None
     if pairing is not None:
-        if a.n % 2 or not orientable:
+        if not orientable:
             raise InconsistencyError(
-                f"Kahler pairing found on a non-orientable or odd-dimensional "
-                f"matrix {a.to_line()}"
+                f"Kahler pairing found on a non-orientable matrix {a.to_line()}"
             )
         spin_cf, s_vector = spin_kahler_closed_form(a, pairing)
         if spin_cf != spin:
@@ -551,7 +548,8 @@ def bott_verdicts(n: int, rows: Sequence[int]) -> tuple[bool, bool, bool]:
     number of times.  On Kahler inputs the closed form of
     spin_kahler_closed_form is evaluated too, and InconsistencyError is
     raised when it differs from the membership verdict, as it is on a
-    Kahler input with an odd row and on Spin without orientability.
+    Kahler input with an odd row.  Spin starts as the orientability
+    verdict and is only ever cleared, so it never holds without it.
     """
     orientable = not any(r.bit_count() & 1 for r in rows)
     kahler = False
@@ -571,15 +569,9 @@ def bott_verdicts(n: int, rows: Sequence[int]) -> tuple[bool, bool, bool]:
             raise InconsistencyError(
                 f"Kahler columns on the non-orientable matrix {mask_line(n, rows)}"
             )
-        # one representative per pair: the first of each two equal columns
-        unpaired: set[int] = set()
-        reps = 0
-        for j, c in enumerate(cols):
-            if c in unpaired:
-                unpaired.remove(c)
-            else:
-                unpaired.add(c)
-                reps |= 1 << j
+        # one representative per pair: a stable sort lists each class of
+        # equal columns in index order, so every other index starts a pair
+        reps = sum(1 << j for j in sorted(range(n), key=cols.__getitem__)[::2])
         spin_cf = all(
             not (r & reps).bit_count() & 1 or not cols[i] for i, r in enumerate(rows)
         )
@@ -588,7 +580,5 @@ def bott_verdicts(n: int, rows: Sequence[int]) -> tuple[bool, bool, bool]:
                 f"Spin deciders disagree on {mask_line(n, rows)}: "
                 f"closed-form={spin_cf}, membership={spin}"
             )
-    if spin and not orientable:
-        raise InconsistencyError(f"Spin without orientability on {mask_line(n, rows)}")
     return orientable, kahler, spin
 

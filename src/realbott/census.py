@@ -272,11 +272,7 @@ def run_census(cfg: CensusConfig) -> tuple[CensusRow, list[str]]:
     workers = max(1, min(cfg.workers, walked, cpus))
     bounds = [(walked * w) // workers for w in range(workers + 1)]
     modes = (cfg.check_oracles, cfg.emit_matrices, orientable_only)
-    jobs = [
-        (cfg.n, bounds[w], bounds[w + 1], *modes)
-        for w in range(workers)
-        if bounds[w] < bounds[w + 1]
-    ]
+    jobs = [(cfg.n, bounds[w], bounds[w + 1], *modes) for w in range(workers)]
     if workers == 1:
         results = [_classify_range(*jobs[0])]
     else:

@@ -49,8 +49,10 @@ class EuclideanMotion:
     def __post_init__(self) -> None:
         if len(self.signs) != len(self.trans2):
             raise ValueError("signs and translation must have the same length")
-        if any(s not in (1, -1) for s in self.signs):
+        if any(not isinstance(s, int) or s not in (1, -1) for s in self.signs):
             raise ValueError("signs must be +1 or -1")
+        if not all(isinstance(t2, int) for t2 in self.trans2):
+            raise ValueError("doubled translations must be ints")
 
     @property
     def dim(self) -> int:
@@ -95,8 +97,8 @@ def generators(a: BottMatrix) -> tuple[EuclideanMotion, ...]:
     translates coordinate i by one half; s_n is the pure half-step."""
     n = a.n
     out = []
-    for i, row in enumerate(a.rows):
-        signs = tuple(-1 if j > i and row[j] else 1 for j in range(n))
+    for i, row in enumerate(a.row_masks):
+        signs = tuple(-1 if row >> j & 1 else 1 for j in range(n))
         trans2 = tuple(1 if j == i else 0 for j in range(n))
         out.append(EuclideanMotion(signs, trans2))
     return tuple(out)

@@ -66,7 +66,10 @@ class GradedPolyF2:
             raise ValueError("num_vars must be non-negative")
         acc: set[Monomial] = set()
         for m in terms:
-            t = tuple(int(e) for e in m)
+            t = tuple(m)
+            if not all(isinstance(e, int) for e in t):
+                raise ValueError(f"non-int exponent in monomial {t}")
+            t = tuple(map(int, t))  # a bool exponent becomes 0 or 1
             if len(t) != num_vars:
                 raise ValueError(
                     f"monomial {t} has {len(t)} exponents, expected {num_vars}"
@@ -213,6 +216,8 @@ class F2Matrix:
             raise ValueError("ncols must be non-negative")
         clean = []
         for r in rows:
+            if not isinstance(r, int):
+                raise ValueError(f"row {r!r} is not an int")
             r = int(r)
             if r < 0 or r >> ncols:
                 raise ValueError(f"row {r:#x} has bits beyond column {ncols - 1}")

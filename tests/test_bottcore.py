@@ -2,6 +2,7 @@
 
 import itertools
 import multiprocessing
+import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import FrozenInstanceError
 
@@ -471,6 +472,48 @@ class TestKahler:
         assert is_kahler(a) is None
 
 
+def reference_closed_form(a: BottMatrix, pairing: KahlerPairing):
+    """Independent route: the closed form on the 0/1 tuple grid, with a set
+    of seen indices, two column tuples per pair, S_i as a sum over row i's
+    entries and the zero columns from zip(*rows)."""
+    n = a.n
+    seen = set()
+    for i, j in pairing.pairs:
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            raise ValueError(f"pair ({i}, {j}) is not a pair of distinct column indices")
+        if i in seen or j in seen:
+            raise ValueError(f"column index reused in pairing at pair ({i}, {j})")
+        seen.update((i, j))
+        if a.column(i) != a.column(j):
+            raise ValueError(
+                f"pairing inconsistent with matrix: columns {i + 1} and {j + 1} differ"
+            )
+    if len(seen) != n:
+        raise ValueError("pairing does not cover every column exactly once")
+    rows = a.rows
+    s_vector = tuple(sum(row[r] for r, _ in pairing.pairs) & 1 for row in rows)
+    zero_col = tuple(not any(column) for column in zip(*rows))
+    spin = all(s == 0 or zero_col[i] for i, s in enumerate(s_vector))
+    return spin, s_vector
+
+
+def representative_choices(pairing: KahlerPairing):
+    """The pairing with each combination of first members, 2^(n/2) in all."""
+    for choice in itertools.product(*pairing.pairs):
+        yield KahlerPairing(tuple((r, i + j - r) for r, (i, j) in zip(choice, pairing.pairs)))
+
+
+def seeded_planted_kahler(rng: random.Random, n: int) -> BottMatrix:
+    """A Bott matrix of even n whose columns are matched at random into
+    equal pairs j < k, both carrying one mask of the rows above j."""
+    order = rng.sample(range(n), n)
+    cols = [0] * n
+    for m in range(0, n, 2):
+        j, k = sorted(order[m : m + 2])
+        cols[j] = cols[k] = rng.randrange(1 << j)
+    return from_columns(n, cols)
+
+
 class TestSpin:
     def test_sixdim_not_spin(self, sixdim_bott):
         spin, w1, w2 = spin_membership(sixdim_bott)
@@ -533,6 +576,48 @@ class TestSpin:
         partial = KahlerPairing(pairs=((0, 1),))
         with pytest.raises(ValueError, match="cover"):
             spin_kahler_closed_form(sixdim_bott, partial)
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            (((0, 0),), "pair (0, 0) is not a pair of distinct column indices"),
+            (((0, 6),), "pair (0, 6) is not a pair of distinct column indices"),
+            (((-1, 1),), "pair (-1, 1) is not a pair of distinct column indices"),
+            (((0, 1), (1, 2)), "column index reused in pairing at pair (1, 2)"),
+            (((0, 1), (0, 1)), "column index reused in pairing at pair (0, 1)"),
+            (((0, 2), (1, 3), (4, 5)), "pairing inconsistent with matrix: columns 1 and 3 differ"),
+            (((0, 1), (2, 3)), "pairing does not cover every column exactly once"),
+            # the checks run pair by pair: unequal columns before a later bad index
+            (((0, 2), (1, 6)), "pairing inconsistent with matrix: columns 1 and 3 differ"),
+        ],
+    )
+    def test_closed_form_pairing_messages(self, sixdim_bott, pairs, message):
+        for decider in (spin_kahler_closed_form, reference_closed_form):
+            with pytest.raises(ValueError) as caught:
+                decider(sixdim_bott, KahlerPairing(pairs))
+            assert str(caught.value) == message
+
+    def test_closed_form_matches_reference_exhaustive_n_le_6(self):
+        checked = 0
+        for n in (2, 4, 6):
+            for a in enumerate_bott(n):
+                pairing = is_kahler(a)
+                if pairing is None:
+                    continue
+                for choice in representative_choices(pairing):
+                    assert spin_kahler_closed_form(a, choice) == reference_closed_form(a, choice)
+                    checked += 1
+        assert checked == 1 * 2 + 6 * 4 + 192 * 8  # Kahler matrices times 2^(n/2) choices
+
+    @pytest.mark.parametrize("n", [8, 10, 12, 14])
+    def test_closed_form_matches_reference_planted(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            a = seeded_planted_kahler(rng, n)
+            pairing = is_kahler(a)
+            assert pairing is not None
+            for choice in representative_choices(pairing):
+                assert spin_kahler_closed_form(a, choice) == reference_closed_form(a, choice)
 
     def test_square_membership_iff_zero_column(self):
         for n in (1, 2, 3, 4):

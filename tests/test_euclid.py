@@ -35,6 +35,25 @@ class TestEuclideanMotion:
         with pytest.raises(ValueError):
             EuclideanMotion((1,), (0, 0))
 
+    @pytest.mark.parametrize(
+        "signs, trans2, message",
+        [
+            ((1.0,), (0,), "signs must be"),
+            ((-1.0, 1), (0, 1), "signs must be"),
+            (("1",), (0,), "signs must be"),
+            ((1,), (0.5,), "doubled translations must be ints"),
+            ((1, 1), (1, 2.0), "doubled translations must be ints"),
+        ],
+    )
+    def test_non_int_entries_rejected(self, signs, trans2, message):
+        with pytest.raises(ValueError, match=message):
+            EuclideanMotion(signs, trans2)
+
+    def test_bool_entries_are_ints(self):
+        g = EuclideanMotion((True,), (True,))
+        assert g == EuclideanMotion((1,), (1,))
+        assert g.has_no_fixed_point()
+
     def test_compose_with_identity(self):
         g = EuclideanMotion((1, -1), (1, 3))
         e = EuclideanMotion.identity(2)
@@ -87,6 +106,14 @@ class TestGenerators:
                     sq = s.compose(s)
                     assert sq.signs == (1,) * n
                     assert sq.trans2 == tuple(2 if j == i else 0 for j in range(n))
+
+    def test_matches_tuple_grid_exhaustive_small_n(self):
+        # s_i flips coordinate j exactly where row i of the 0/1 grid has a 1
+        for n in (1, 2, 3, 4, 5):
+            for a in enumerate_bott(n):
+                for i, (s, row) in enumerate(zip(generators(a), a.rows)):
+                    assert s.signs == tuple(-1 if e else 1 for e in row)
+                    assert s.trans2 == tuple(int(j == i) for j in range(n))
 
 
 class TestElementOf:

@@ -131,6 +131,16 @@ class TestGradedPolyF2:
         with pytest.raises(ValueError):
             GradedPolyF2(2, [(-1, 0)])
 
+    @pytest.mark.parametrize("monomial", [(1.5, 0), ("1", 0), (1, 1.0)])
+    def test_non_int_exponents_rejected(self, monomial):
+        with pytest.raises(ValueError, match="non-int exponent"):
+            GradedPolyF2(2, [monomial])
+
+    def test_bool_exponents_become_ints(self):
+        p = GradedPolyF2(2, [(True, False)])
+        assert p == poly(2, (1, 0))
+        assert repr(p) == "GradedPolyF2(2, [(1, 0)])"
+
     def test_graded_component(self):
         p = poly(2, (0, 0), (1, 0), (1, 1))
         assert p.graded_component(2) == poly(2, (1, 1))
@@ -280,6 +290,16 @@ class TestF2Matrix:
     def test_row_out_of_range(self):
         with pytest.raises(ValueError):
             F2Matrix([0b100], 2)
+
+    @pytest.mark.parametrize("rows", [["3", 2], [3, 2.9], [2.0]])
+    def test_non_int_rows_rejected(self, rows):
+        with pytest.raises(ValueError, match="is not an int"):
+            F2Matrix(rows, 2)
+
+    def test_bool_rows_become_ints(self):
+        m = F2Matrix([True, False], 1)
+        assert m.rows == (1, 0)
+        assert repr(m) == "F2Matrix([1, 0], ncols=1)"
 
     def test_sixdim_theta_rank_against_subset_sums(self):
         encodings = [encode_degree2(t) for t in SIXDIM_THETAS]
