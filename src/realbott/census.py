@@ -23,9 +23,9 @@ of chunking and worker count.
 
 from __future__ import annotations
 
+import concurrent.futures  # its process pool, and multiprocessing, load on first use
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -276,7 +276,7 @@ def run_census(cfg: CensusConfig) -> tuple[CensusRow, list[str]]:
     if workers == 1:
         results = [_classify_range(*jobs[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_classify_range, *zip(*jobs)))
 
     offenders = [off for _, _, off in results if off is not None]

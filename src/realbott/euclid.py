@@ -9,9 +9,9 @@ translation parities, with no floating point anywhere.
 This module is the independent oracle against which the combinatorial
 row-subset freeness test, the cocycle holonomy prediction and the row
 parity test for orientability are cross-checked.  check_against_rows
-builds the motion of each of the 2^n generator subsets as its sorted
-product, with one exact composition per subset, and predicts their
-signs by linearity of the cocycles along the lowest generator.
+builds the motions of all 2^n generator subsets as per-coordinate
+columns, each entry the exact sorted product, and predicts their signs
+column by column by linearity of the cocycles.
 """
 
 from __future__ import annotations
@@ -29,13 +29,15 @@ __all__ = [
     "element_of",
     "acts_freely",
     "orientable_by_motions",
+    "subset_columns",
     "subset_motions",
     "check_against_rows",
 ]
 
-# Size guard: subset_motions keeps all 2^n motions, so time and memory double
-# with each +1 in n (n = 16: about 0.6 s and 46 MB peak RSS); n = 20
-# extrapolates to about 11 s and 0.6 GB, and n = 24 to gigabytes.
+# Size guard: check_against_rows keeps 3n columns of 2^n ints (signs, doubled
+# translations, predicted signs), so time and memory double with each +1 in n
+# (`realbott verify` at n = 16: about 0.25 s and 44 MB peak RSS; n = 18: 0.7 s
+# and 130 MB); n = 20 extrapolates to about 3 s and 0.5 GB, n = 24 to gigabytes.
 MAX_MOTION_DIM = 20
 
 
@@ -45,6 +47,13 @@ class EuclideanMotion:
 
     signs: tuple[int, ...]
     trans2: tuple[int, ...]
+
+    @classmethod
+    def _make(cls, signs: tuple[int, ...], trans2: tuple[int, ...]) -> EuclideanMotion:
+        """A motion from entries already known valid; __post_init__ is not run."""
+        g = object.__new__(cls)
+        g.__dict__.update(signs=signs, trans2=trans2)  # frozen blocks only setattr
+        return g
 
     def __post_init__(self) -> None:
         if len(self.signs) != len(self.trans2):
@@ -64,14 +73,11 @@ class EuclideanMotion:
 
     def compose(self, other: EuclideanMotion) -> EuclideanMotion:
         """(self . other)(x) = self(other(x)), exact on doubled integers.  A
-        product of valid motions is valid, so __post_init__ is not rerun."""
+        product of valid motions is valid, so it is built with _make."""
         if len(self.signs) != len(other.signs):
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        g = object.__new__(EuclideanMotion)
-        object.__setattr__(g, "signs", tuple(map(mul, self.signs, other.signs)))
         trans2 = map(add, map(mul, self.signs, other.trans2), self.trans2)
-        object.__setattr__(g, "trans2", tuple(trans2))
-        return g
+        return EuclideanMotion._make(tuple(map(mul, self.signs, other.signs)), tuple(trans2))
 
     def has_no_fixed_point(self) -> bool:
         """Whether the induced torus map x -> D x + t has no fixed point.
@@ -87,7 +93,7 @@ class EuclideanMotion:
 
     def inverse(self) -> EuclideanMotion:
         # D^-1 = D for diagonal signs, so g^-1 = (D, -D t)
-        return EuclideanMotion(
+        return EuclideanMotion._make(
             self.signs, tuple(-s * t2 for s, t2 in zip(self.signs, self.trans2))
         )
 
@@ -98,9 +104,9 @@ def generators(a: BottMatrix) -> tuple[EuclideanMotion, ...]:
     n = a.n
     out = []
     for i, row in enumerate(a.row_masks):
-        signs = tuple(-1 if row >> j & 1 else 1 for j in range(n))
-        trans2 = tuple(1 if j == i else 0 for j in range(n))
-        out.append(EuclideanMotion(signs, trans2))
+        signs = tuple([-1 if row >> j & 1 else 1 for j in range(n)])
+        trans2 = tuple([1 if j == i else 0 for j in range(n)])
+        out.append(EuclideanMotion._make(signs, trans2))
     return tuple(out)
 
 
@@ -136,19 +142,46 @@ def orientable_by_motions(a: BottMatrix) -> bool:
     return all(math.prod(s.signs) == 1 for s in generators(a))
 
 
-def subset_motions(gens: tuple[EuclideanMotion, ...]) -> list[EuclideanMotion]:
-    """The motion of every generator subset, indexed by mask, one compose each.
+def subset_columns(gens: tuple[EuclideanMotion, ...]) -> tuple[list[list[int]], list[list[int]]]:
+    """The motion of every generator subset, stored column by column.
 
-    The masks are visited in ascending order.  A mask's motion is the
-    motion of the mask without its highest generator s_h, built earlier,
-    composed with s_h on the right, so it is exactly the sorted product
-    element_of(a, subset).
+    Returns (signs, trans2): signs[j][mask] and trans2[j][mask] are the
+    sign and the doubled translation at coordinate j of the motion of the
+    subset mask.  Each column starts as the identity's entry (1, 0) at
+    mask 0, and each generator s_h in index order doubles it: the entry
+    (x, y) at a mask without s_h gives the entry at that mask plus s_h,
+    the motion composed with s_h on the right, (x sigma, x tau + y) for
+    s_h's own sign sigma and doubled translation tau at j.  So every
+    entry is exactly that of the sorted product element_of(a, subset).
     """
-    out = [EuclideanMotion.identity(len(gens))] * (1 << len(gens))
-    for mask in range(1, len(out)):
-        h = mask.bit_length() - 1
-        out[mask] = out[mask ^ (1 << h)].compose(gens[h])
-    return out
+    signs: list[list[int]] = []
+    trans2: list[list[int]] = []
+    for j in range(gens[0].dim if gens else 0):
+        s, t = [1], [0]
+        for g in gens:
+            sigma, tau = g.signs[j], g.trans2[j]
+            # x * 1 = x and x * 0 + y = y: those halves are copies
+            t += t if tau == 0 else [x * tau + y for x, y in zip(s, t)]
+            s += s if sigma == 1 else [x * sigma for x in s]
+        signs.append(s)
+        trans2.append(t)
+    return signs, trans2
+
+
+def subset_motions(gens: tuple[EuclideanMotion, ...]) -> list[EuclideanMotion]:
+    """The motion of every generator subset, indexed by mask: the columns
+    of subset_columns read back as motions."""
+    signs, trans2 = subset_columns(gens)
+    return list(map(EuclideanMotion._make, zip(*signs), zip(*trans2)))
+
+
+def _free_flags(signs: list[list[int]], trans2: list[list[int]]) -> list[bool]:
+    """has_no_fixed_point of each subset motion, read off one or more
+    columns: some coordinate keeps sign +1 under an odd half-step."""
+    free = [False] * len(signs[0])
+    for s_col, t_col in zip(signs, trans2):
+        free = [f or (s == 1 and t & 1 == 1) for f, s, t in zip(free, s_col, t_col)]
+    return free
 
 
 def check_against_rows(a: BottMatrix) -> list[str]:
@@ -157,10 +190,12 @@ def check_against_rows(a: BottMatrix) -> list[str]:
     For every nonempty generator subset the fixed-point verdict must
     equal the row-subset freeness predicate, and for every subset the
     sign pattern must match the cocycle prediction diag((-1)^(alpha_j +
-    beta_j)).  The forms are linear, so a mask's prediction is that of the
-    mask without its lowest generator times that generator's pattern
-    (subset_motions drops the highest).  Returns the disagreements in
-    ascending subset order (empty = all agree); n > MAX_MOTION_DIM is refused.
+    beta_j)).  The motions come from subset_columns; each form is linear,
+    so its column of predicted signs doubles the way a sign column does.
+    Whole columns are compared at once, and only on a disagreement are
+    the masks walked to name it.  Returns the disagreements in ascending
+    subset order, holonomy before freeness (empty = all agree);
+    n > MAX_MOTION_DIM is refused.
     """
     n = a.n
     if n > MAX_MOTION_DIM:
@@ -168,27 +203,28 @@ def check_against_rows(a: BottMatrix) -> list[str]:
             f"size guard exceeded: n={n} needs 2^{n} motions, limit is n={MAX_MOTION_DIM}"
         )
     p = bott_to_p(a)
-    sign_forms = [al ^ be for al, be in zip(*cocycles(p))]
-    one_generator = [tuple(-1 if f >> i & 1 else 1 for f in sign_forms) for i in range(n)]
-    # latest[t]: prediction at the last mask visited with lowest bit t, which
-    # is the mask without its lowest bit for every later mask that needs it;
-    # mask 0 has lowest bit -1 and reads the identity in latest[n].
-    latest = [(1,) * n] * (n + 1)
+    signs, trans2 = subset_columns(generators(a))
+    predicted = []
+    for alpha, beta in zip(*cocycles(p)):
+        column = [1]
+        for i in range(n):
+            column += [-x for x in column] if (alpha ^ beta) >> i & 1 else column
+        predicted.append(column)
+    free = _free_flags(signs, trans2)
+    # mask 0, the identity, has fixed points; free_at_subset takes no empty subset
+    rows = [False, *[free_at_subset(p, mask) for mask in range(1, 1 << n)]]
+    if signs == predicted and free == rows:
+        return []
     problems: list[str] = []
-    for mask, g in enumerate(subset_motions(generators(a))):
-        low = (mask & -mask).bit_length() - 1
-        if mask:
-            rest = mask & (mask - 1)
-            base = latest[(rest & -rest).bit_length() - 1]
-            latest[low] = tuple(map(mul, base, one_generator[low]))
-        if g.signs != latest[low]:
+    for mask, (motion, cocycle) in enumerate(zip(zip(*signs), zip(*predicted))):
+        if motion != cocycle:
             problems.append(
                 f"holonomy mismatch on {a.to_line()} subset {mask:#x}: "
-                f"motion {g.signs}, cocycle {latest[low]}"
+                f"motion {motion}, cocycle {cocycle}"
             )
-        if mask and (free := g.has_no_fixed_point()) != (rows := free_at_subset(p, mask)):
+        if free[mask] != rows[mask]:
             problems.append(
                 f"freeness mismatch on {a.to_line()} subset {mask:#x}: "
-                f"motion {free}, rows {rows}"
+                f"motion {free[mask]}, rows {rows[mask]}"
             )
     return problems

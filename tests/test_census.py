@@ -1,5 +1,6 @@
 """Tests for the exhaustive census layer."""
 
+import concurrent.futures
 import multiprocessing
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -391,7 +392,7 @@ class TestWorkerCap:
             def map(self, fn, *iterables):
                 return list(map(fn, *iterables))
 
-        monkeypatch.setattr(census_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         return sizes
 
     def test_cap_applies(self, monkeypatch, pool_sizes):

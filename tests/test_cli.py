@@ -480,9 +480,9 @@ class TestVerify:
         # the motion oracle keeps 2^n motions; n = 21 must be refused
         # before any of them is built
         def never(gens):
-            raise AssertionError("subset_motions ran past the size guard")
+            raise AssertionError("subset_columns ran past the size guard")
 
-        monkeypatch.setattr(euclid_mod, "subset_motions", never)
+        monkeypatch.setattr(euclid_mod, "subset_columns", never)
         path = tmp_path / "zero21.txt"
         path.write_text("\n".join(["0" * 21] * 21) + "\n")
         code, out, err = run(capsys, "verify", str(path))

@@ -21,6 +21,7 @@ from realbott import (
     matrix_at,
     orientable_by_motions,
     parse_bott,
+    subset_columns,
     subset_motions,
 )
 from realbott.census import cell_count
@@ -254,17 +255,55 @@ class TestSubsetMotions:
                 )
         assert check_against_rows(sixdim_bott) == expected
 
+    def test_even_translations_are_freeness_mismatches(self, sixdim_bott, monkeypatch):
+        # s_i translating by 2 e_i (a whole step) leaves every motion a fixed
+        # point, while the rows still call every subset free
+        real = euclid_mod.generators
+
+        def whole_steps(a):
+            return tuple(
+                EuclideanMotion(g.signs, tuple(2 * t for t in g.trans2)) for g in real(a)
+            )
+
+        monkeypatch.setattr(euclid_mod, "generators", whole_steps)
+        assert check_against_rows(sixdim_bott) == [
+            f"freeness mismatch on {sixdim_bott.to_line()} subset {mask:#x}: "
+            "motion False, rows True"
+            for mask in range(1, 64)
+        ]
+
+    def test_flipped_generator_sign_is_holonomy_mismatches(self, sixdim_bott, monkeypatch):
+        # s_1 also flipping coordinate 2 changes the motion's sign there at
+        # every mask holding s_1; coordinate 1 keeps each such motion free
+        real = euclid_mod.generators
+
+        def flipped(a):
+            s1, *rest = real(a)
+            signs = (s1.signs[0], -s1.signs[1], *s1.signs[2:])
+            return (EuclideanMotion(signs, s1.trans2), *rest)
+
+        expected = []  # element_of also reads euclid.generators: built before the patch
+        for mask in range(1, 64, 2):
+            cocycle = element_of(sixdim_bott, subset_of(mask, 6)).signs
+            motion = (cocycle[0], -cocycle[1], *cocycle[2:])
+            expected.append(
+                f"holonomy mismatch on {sixdim_bott.to_line()} subset {mask:#x}: "
+                f"motion {motion}, cocycle {cocycle}"
+            )
+        monkeypatch.setattr(euclid_mod, "generators", flipped)
+        assert check_against_rows(sixdim_bott) == expected
+
 
 class TestSizeGuard:
     def test_limit_is_inclusive(self, monkeypatch):
-        # subset_motions is stubbed, so no 2^n motions are ever built
+        # subset_columns is stubbed, so no 2^n motions are ever built
         class Reached(Exception):
             pass
 
         def spy(gens):
             raise Reached(len(gens))
 
-        monkeypatch.setattr(euclid_mod, "subset_motions", spy)
+        monkeypatch.setattr(euclid_mod, "subset_columns", spy)
         with pytest.raises(Reached):
             check_against_rows(zero_bott(euclid_mod.MAX_MOTION_DIM))
         with pytest.raises(ValueError, match="size guard"):
@@ -321,6 +360,29 @@ def motion_pairs(draw):
 def motion_triples(draw):
     n = draw(st.integers(1, 5))
     return tuple(draw(motions(dim=n)) for _ in range(3))
+
+
+@st.composite
+def motion_lists(draw):
+    n = draw(st.integers(1, 5))
+    return tuple(draw(st.lists(motions(dim=n), min_size=1, max_size=5)))
+
+
+class TestSubsetColumns:
+    @given(motion_lists())
+    def test_any_motions_match_sorted_compose(self, gens):
+        # arbitrary signs and translations, so both halves of each step are
+        # built by the general rule as well as by the x * 1 and x * 0 copies
+        signs, trans2 = subset_columns(gens)
+        free = euclid_mod._free_flags(signs, trans2)
+        assert len(free) == 1 << len(gens)
+        for mask, is_free in enumerate(free):
+            g = EuclideanMotion.identity(gens[0].dim)
+            for i in subset_of(mask, len(gens)):
+                g = g.compose(gens[i])
+            assert tuple(column[mask] for column in signs) == g.signs
+            assert tuple(column[mask] for column in trans2) == g.trans2
+            assert is_free is g.has_no_fixed_point()
 
 
 class TestGroupLaws:
