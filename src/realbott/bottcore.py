@@ -500,8 +500,6 @@ def analyze(a: BottMatrix) -> ManifoldReport:
                 f"Spin deciders disagree on {a.to_line()}: "
                 f"closed-form={spin_cf}, membership={spin}"
             )
-    if spin and not orientable:
-        raise InconsistencyError(f"Spin without orientability on {a.to_line()}")
     return ManifoldReport(
         n=a.n,
         # Free, so is_free need not scan: in any nonempty row subset of the

@@ -185,8 +185,10 @@ def cross_check(a: BottMatrix, verdicts: tuple[bool, bool, bool]) -> list[str]:
     analyze (the P-matrix route, which compares the two Spin deciders
     on Kahler inputs) must give the same (orientable, kahler, spin), the
     generators' sign products must give the same orientability, and the
-    Euclidean-motion oracle must agree with the row calculus.
+    Euclidean-motion oracle must agree with the row calculus.  The oracle
+    runs first, so its size guard fires before any route; its findings come last.
     """
+    motion_problems = check_against_rows(a)
     try:
         report = analyze(a)
     except InconsistencyError as exc:
@@ -205,7 +207,7 @@ def cross_check(a: BottMatrix, verdicts: tuple[bool, bool, bool]) -> list[str]:
             f"kernel and motions disagree on {a.to_line()}: "
             f"orientable = {verdicts[0]} against {by_motions}"
         )
-    return problems + check_against_rows(a)
+    return problems + motion_problems
 
 
 def _classify_range(

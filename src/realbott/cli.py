@@ -50,7 +50,7 @@ from .f2poly import decode_degree2
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _load_pmatrix(args: argparse.Namespace) -> PMatrix:

@@ -9,8 +9,8 @@ translation parities, with no floating point anywhere.
 This module is the independent oracle against which the combinatorial
 row-subset freeness test, the cocycle holonomy prediction and the row
 parity test for orientability are cross-checked.  check_against_rows
-builds the motions of all 2^n generator subsets as per-coordinate
-columns, each entry the exact sorted product, and predicts their signs
+reads the motions of all 2^n generator subsets from subset_columns, one
+list per coordinate of exact sorted products, and predicts their signs
 column by column by linearity of the cocycles.
 """
 
@@ -30,7 +30,6 @@ __all__ = [
     "acts_freely",
     "orientable_by_motions",
     "subset_columns",
-    "subset_motions",
     "check_against_rows",
 ]
 
@@ -90,12 +89,6 @@ class EuclideanMotion:
             if s == 1 and t2 & 1:
                 return True
         return False
-
-    def inverse(self) -> EuclideanMotion:
-        # D^-1 = D for diagonal signs, so g^-1 = (D, -D t)
-        return EuclideanMotion._make(
-            self.signs, tuple(-s * t2 for s, t2 in zip(self.signs, self.trans2))
-        )
 
 
 def generators(a: BottMatrix) -> tuple[EuclideanMotion, ...]:
@@ -166,13 +159,6 @@ def subset_columns(gens: tuple[EuclideanMotion, ...]) -> tuple[list[list[int]], 
         signs.append(s)
         trans2.append(t)
     return signs, trans2
-
-
-def subset_motions(gens: tuple[EuclideanMotion, ...]) -> list[EuclideanMotion]:
-    """The motion of every generator subset, indexed by mask: the columns
-    of subset_columns read back as motions."""
-    signs, trans2 = subset_columns(gens)
-    return list(map(EuclideanMotion._make, zip(*signs), zip(*trans2)))
 
 
 def _free_flags(signs: list[list[int]], trans2: list[list[int]]) -> list[bool]:

@@ -9,7 +9,9 @@ degree first.
 The module also carries the GF(2) linear algebra needed on graded
 pieces: row reduction of bitmask matrices, row-space membership, and a
 fixed coordinate system for homogeneous quadratics (x_i*x_j, i <= j, in
-lex order), in which mul_linear multiplies two linear-form masks.
+lex order, so block i holds the x_i*x_j with j >= i), in which
+mul_linear multiplies two linear-form masks and decode_degree2 reads a
+mask back block by block, with no table of monomials.
 
 Bit conventions: an ``F2Matrix`` row is an int whose bit ``c`` is the
 entry in column ``c``.  A linear form is an int mask whose bit ``i`` is
@@ -23,7 +25,6 @@ immutable, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from functools import cache
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "truncated_product",
     "degree2_count",
     "degree2_index",
-    "degree2_monomials",
     "encode_degree2",
     "decode_degree2",
 ]
@@ -287,16 +287,6 @@ def degree2_index(num_vars: int, i: int, j: int) -> int:
     return i * num_vars - i * (i + 1) // 2 + j
 
 
-@cache
-def degree2_monomials(num_vars: int) -> tuple[Monomial, ...]:
-    """All degree-2 monomials in the column order of degree2_index; one table per d."""
-    return tuple(
-        tuple((k == i) + (k == j) for k in range(num_vars))
-        for i in range(num_vars)
-        for j in range(i, num_vars)
-    )
-
-
 def encode_degree2(p: GradedPolyF2) -> int:
     """Coordinates of a homogeneous degree-2 polynomial as a bitmask."""
     mask = 0
@@ -309,11 +299,23 @@ def encode_degree2(p: GradedPolyF2) -> int:
 
 
 def decode_degree2(num_vars: int, mask: int) -> GradedPolyF2:
-    """Inverse of encode_degree2."""
+    """Inverse of encode_degree2, read block by block as mul_linear writes:
+    block i, the next d - i bits, holds x_{i+1}*x_{j+1} for j = i..d-1."""
     if mask < 0 or mask >> degree2_count(num_vars):
         raise ValueError(f"mask {mask:#x} out of range for {num_vars} variables")
-    basis = degree2_monomials(num_vars)
-    terms = [basis[c] for c in range(len(basis)) if (mask >> c) & 1]
+    terms = []
+    i = 0
+    while mask:
+        width = num_vars - i
+        block, mask = mask & ((1 << width) - 1), mask >> width
+        while block:
+            low = block & -block
+            block ^= low
+            m = [0] * num_vars
+            m[i] += 1
+            m[i + low.bit_length() - 1] += 1
+            terms.append(tuple(m))
+        i += 1
     return GradedPolyF2._make(num_vars, frozenset(terms))
 
 

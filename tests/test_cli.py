@@ -135,6 +135,14 @@ class TestCheck:
         assert "orientable" in out and "false" in out
         assert "w1" in out and "x1" in out
 
+    def test_byte_order_mark_is_skipped(self, capsys, klein_file, tmp_path):
+        # editors on some platforms save UTF-8 with a leading BOM
+        path = tmp_path / "klein_bom.txt"
+        path.write_text("\ufeff" + KLEIN_TEXT + "\n", encoding="utf-8")
+        plain = run(capsys, "check", klein_file)
+        assert run(capsys, "check", str(path)) == plain
+        assert plain[0] == 0 and plain[2] == ""
+
     def test_generic_pmatrix_skips_bott_deciders(self, capsys, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("1 2 3\n0 1 2\n")
@@ -483,6 +491,21 @@ class TestVerify:
             raise AssertionError("subset_columns ran past the size guard")
 
         monkeypatch.setattr(euclid_mod, "subset_columns", never)
+        path = tmp_path / "zero21.txt"
+        path.write_text("\n".join(["0" * 21] * 21) + "\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: size guard exceeded")
+
+    def test_single_file_size_guard_before_any_route(self, capsys, tmp_path, monkeypatch):
+        # the oracle's guard fires before analyze and the orientability
+        # route, so a large matrix costs nothing beyond its parse and the kernel
+        def never(a):
+            raise AssertionError("a route ran before the size guard")
+
+        monkeypatch.setattr(census_mod, "analyze", never)
+        monkeypatch.setattr(census_mod, "orientable_by_motions", never)
         path = tmp_path / "zero21.txt"
         path.write_text("\n".join(["0" * 21] * 21) + "\n")
         code, out, err = run(capsys, "verify", str(path))

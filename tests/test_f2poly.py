@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from realbott.f2poly import (
     decode_degree2,
     degree2_count,
     degree2_index,
-    degree2_monomials,
     encode_degree2,
     mul_linear,
     truncated_product,
@@ -374,10 +374,25 @@ class TestDegree2Coordinates:
 
     def test_monomial_order_matches_index(self):
         d = 4
-        basis = degree2_monomials(d)
-        assert len(basis) == degree2_count(d)
-        for col, m in enumerate(basis):
-            assert encode_degree2(GradedPolyF2(d, [m])) == 1 << col
+        for i in range(d):
+            for j in range(i, d):
+                col = degree2_index(d, i, j)
+                (m,) = decode_degree2(d, 1 << col).terms
+                assert m == tuple((k == i) + (k == j) for k in range(d))
+                assert encode_degree2(GradedPolyF2(d, [m])) == 1 << col
+
+    def test_decode_keeps_no_table(self):
+        # one monomial of d = 300 decodes in far less than the 45,150
+        # degree-2 exponent tuples of a full table (about 100 MB)
+        d = 300
+        tracemalloc.start()
+        try:
+            for col in (0, 1000, degree2_count(d) - 1):
+                assert encode_degree2(decode_degree2(d, 1 << col)) == 1 << col
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_encode_decode_roundtrip(self):
         p = poly(4, (2, 0, 0, 0), (0, 1, 0, 1))
@@ -389,6 +404,14 @@ class TestDegree2Coordinates:
             encode_degree2(poly(3, (1, 0, 0)))
         with pytest.raises(ValueError):
             degree2_index(3, 2, 1)
+
+    def test_decode_rejects_out_of_range_mask(self):
+        # d = 3 has 6 columns, all of them set in the largest valid mask
+        every = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+        assert decode_degree2(3, (1 << 6) - 1) == GradedPolyF2(3, every)
+        for mask in (-1, 1 << 6):
+            with pytest.raises(ValueError, match="out of range for 3 variables"):
+                decode_degree2(3, mask)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
