@@ -10,8 +10,9 @@ This module is the independent oracle against which the combinatorial
 row-subset freeness test, the cocycle holonomy prediction and the row
 parity test for orientability are cross-checked.  check_against_rows
 reads the motions of all 2^n generator subsets from subset_columns, one
-list per coordinate of exact sorted products, and predicts their signs
-column by column by linearity of the cocycles.
+list per coordinate of exact sorted products, predicts their signs
+column by column by linearity of the cocycles, and reads the row side's
+freeness from bottcore.free_chunks, the bit-sliced kernel behind is_free.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from operator import add, mul
 from typing import Iterable
 
-from .bottcore import BottMatrix, bott_to_p, cocycles, free_at_subset
+from .bottcore import BottMatrix, bott_to_p, cocycles, free_chunks
 
 __all__ = [
     "EuclideanMotion",
@@ -174,10 +175,11 @@ def check_against_rows(a: BottMatrix) -> list[str]:
     """Cross-check the motion oracle against the row-calculus layer.
 
     For every nonempty generator subset the fixed-point verdict must
-    equal the row-subset freeness predicate, and for every subset the
-    sign pattern must match the cocycle prediction diag((-1)^(alpha_j +
-    beta_j)).  The motions come from subset_columns; each form is linear,
-    so its column of predicted signs doubles the way a sign column does.
+    equal the row-subset freeness that free_chunks gives, 2^12 subsets per
+    int, and for every subset the sign pattern must match the cocycle
+    prediction diag((-1)^(alpha_j + beta_j)).  The motions come from
+    subset_columns; each form is linear, so its column of predicted signs
+    doubles the way a sign column does.
     Whole columns are compared at once, and only on a disagreement are
     the masks walked to name it.  Returns the disagreements in ascending
     subset order, holonomy before freeness (empty = all agree);
@@ -197,8 +199,9 @@ def check_against_rows(a: BottMatrix) -> list[str]:
             column += [-x for x in column] if (alpha ^ beta) >> i & 1 else column
         predicted.append(column)
     free = _free_flags(signs, trans2)
-    # mask 0, the identity, has fixed points; free_at_subset takes no empty subset
-    rows = [False, *[free_at_subset(p, mask) for mask in range(1, 1 << n)]]
+    chunks = list(free_chunks(p))  # lane m of chunk c is subset c * width + m
+    width = (1 << n) // len(chunks)
+    rows = [lane == "1" for chunk in chunks for lane in reversed(f"{chunk:0{width}b}")]
     if signs == predicted and free == rows:
         return []
     problems: list[str] = []

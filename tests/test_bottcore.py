@@ -26,6 +26,7 @@ from realbott import (
     cocycles,
     enumerate_bott,
     free_at_subset,
+    free_chunks,
     has_full_holonomy,
     is_free,
     is_kahler,
@@ -267,7 +268,7 @@ def square_or_rectangular_pmatrices(draw, max_d=8):
     when d <= n half of them get entry 1 at (i, i) and zeros below it, which
     leaves every row subset its first row's half-turn.  Half of those then
     lose every entry 1 of the last row, so that only the last row alone,
-    the last subset of the Gray-code order, is not free."""
+    lane 0 of a chunk whenever d exceeds the chunk width, is not free."""
     d = draw(st.integers(1, max_d))
     n = draw(st.integers(1, max_d))
     rows = [draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) for _ in range(d)]
@@ -296,9 +297,41 @@ class TestFreeness:
     @given(square_or_rectangular_pmatrices())
     @example(PMatrix(((1, 2, 0), (0, 1, 2), (2, 0, 1))))
     def test_subset_predicate_matches_full_scan(self, p):
-        # brute-force recomputation per subset agrees with the Gray-code loop,
+        # brute-force recomputation per subset agrees with the bit-sliced kernel,
         # both where it stops early and where it scans every subset
         assert is_free(p) == all(free_at_subset(p, m) for m in range(1, 1 << p.d))
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(p=square_or_rectangular_pmatrices())
+    @example(p=PMatrix(((1, 2, 0, 3), (0, 1, 2, 0), (0, 0, 1, 2), (0, 0, 0, 2))))
+    def test_chunks_match_subset_predicate(self, bits, p):
+        # narrow chunks, so rows past the chunk width flip whole columns; the
+        # example fails only at its last row alone, lane 0 of a later chunk
+        rows = [False] + [free_at_subset(p, m) for m in range(1, 1 << p.d)]
+        width = 1 << min(p.d, bits)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bottcore_mod, "FREE_CHUNK_BITS", bits)
+            chunks = list(free_chunks(p))
+            free = is_free(p)
+        assert len(chunks) == len(rows) // width
+        assert all(chunk >> width == 0 for chunk in chunks)
+        assert [bool(chunk >> m & 1) for chunk in chunks for m in range(width)] == rows
+        assert free == all(rows[1:])
+
+    def test_planted_free_14_rows_at_full_width(self):
+        # four chunks of 2^12 subsets; without its entry 1 the last row alone,
+        # mask 2^13 and lane 0 of chunk 2, is the one subset that is not free
+        rows = [
+            [1 if j == i else 2 * ((i + j) % 2) * (j > i) for j in range(14)] + [i % 4, (i + 1) % 4]
+            for i in range(14)
+        ]
+        assert is_free(PMatrix(rows))
+        rows[-1] = [0 if e == 1 else e for e in rows[-1]]
+        p = PMatrix(rows)
+        assert not free_at_subset(p, 1 << 13)
+        assert all(free_at_subset(p, m) for m in (1, (1 << 13) - 1, (1 << 14) - 1))
+        assert not is_free(p)
 
     def test_subset_mask_validation(self):
         p = PMatrix(((1,),))

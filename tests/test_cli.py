@@ -197,8 +197,9 @@ class TestCheck:
         assert "error" in err
 
     def test_freeness_guard_exit_2(self, capsys, tmp_path):
-        # a free 40-row matrix needs 2^40 - 1 subsets, days of scanning; this
-        # one is not free at the first subset, so only the guard refuses it
+        # a free 40-row matrix needs 2^28 chunks of 2^12 subsets, over half an
+        # hour; this one is not free at the first subset, so only the guard
+        # refuses it
         path = tmp_path / "p40.txt"
         path.write_text("0 0 0\n" + "1 2 3\n" * 39)
         code, out, err = run(capsys, "check", str(path), "--pmat")
@@ -212,6 +213,20 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path), "--pmat", "--json")
         assert code == 0
         assert json.loads(out)["free"] is False
+
+    def test_freeness_guard_bound_free(self, capsys, tmp_path):
+        # a planted-free matrix at the guard's bound: every one of the
+        # 2^24 - 1 row subsets is read, and the report says free
+        d = bottcore_mod.MAX_FREE_ROWS
+        path = tmp_path / "free24.txt"
+        path.write_text("".join(
+            " ".join(str(1 if j == i else 2 * ((i + j) % 2) * (j > i)) for j in range(d))
+            + "".join(f" {(i + k) % 4}" for k in range(2)) + "\n"
+            for i in range(d)
+        ))
+        code, out, _ = run(capsys, "check", str(path), "--pmat", "--json")
+        assert code == 0
+        assert json.loads(out)["free"] is True
 
     def test_json_field_order(self, capsys, sixdim_bott_file, tmp_path):
         # the README's order, on the Bott path and the general P-matrix path

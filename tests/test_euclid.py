@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import realbott.bottcore as bottcore_mod
 import realbott.euclid as euclid_mod
 from realbott import (
     EuclideanMotion,
@@ -187,24 +188,34 @@ class TestSubsetMotions:
                     assert tuple(col[mask] for col in trans2) == g.trans2
 
     def test_check_visits_each_subset_once(self, sixdim_bott, monkeypatch):
-        seen = []
-        real = euclid_mod.free_at_subset
+        # at 4 subsets per chunk the oracle reads the kernel once, and its
+        # 16 chunks cover every mask once, in ascending order
+        monkeypatch.setattr(bottcore_mod, "FREE_CHUNK_BITS", 2)
+        calls, seen = [], []
+        real = euclid_mod.free_chunks
 
-        def spy(p, mask):
-            seen.append(mask)
-            return real(p, mask)
+        def spy(p):
+            calls.append(p.d)
+            for c, chunk in enumerate(real(p)):
+                seen.extend(range(4 * c, 4 * c + 4))
+                yield chunk
 
-        monkeypatch.setattr(euclid_mod, "free_at_subset", spy)
+        monkeypatch.setattr(euclid_mod, "free_chunks", spy)
         assert check_against_rows(sixdim_bott) == []
-        assert len(seen) == 63
-        assert sorted(seen) == list(range(1, 64))
+        assert calls == [6]
+        assert seen == list(range(64))
 
     @staticmethod
     def flip_at(monkeypatch, bad_masks):
-        real = euclid_mod.free_at_subset
-        monkeypatch.setattr(
-            euclid_mod, "free_at_subset", lambda p, mask: real(p, mask) ^ (mask in bad_masks)
-        )
+        # the kernel's lane for each bad mask flipped, at whatever chunk width
+        real = euclid_mod.free_chunks
+
+        def flipped(p):
+            width = 1 << min(p.d, bottcore_mod.FREE_CHUNK_BITS)
+            for c, chunk in enumerate(real(p)):
+                yield chunk ^ sum(1 << (m - c * width) for m in bad_masks if m // width == c)
+
+        monkeypatch.setattr(euclid_mod, "free_chunks", flipped)
 
     def test_sabotage_names_the_mask(self, sixdim_bott, monkeypatch):
         self.flip_at(monkeypatch, {0x2A})
@@ -214,7 +225,9 @@ class TestSubsetMotions:
         ]
 
     def test_messages_in_ascending_mask_order(self, sixdim_bott, monkeypatch):
-        # reported in mask order, whatever order a walk builds the motions in
+        # reported in mask order, whatever order a walk builds the motions in;
+        # at 8 subsets per chunk the two masks sit in chunks 4 and 7
+        monkeypatch.setattr(bottcore_mod, "FREE_CHUNK_BITS", 3)
         self.flip_at(monkeypatch, {0x20, 0x3F})
         problems = check_against_rows(sixdim_bott)
         assert len(problems) == 2
