@@ -49,8 +49,8 @@ __all__ = [
 # orientable walk takes about 19 s on one core for the 2^21 matrices of
 # n = 8, so n = 9 (2^28 of its 2^36 matrices) should take at least 40
 # minutes, as the per-matrix cost grows with n; n = 10 (2^36) is refused.
-# The full walk, and with it matrix_at, enumerate_bott, --emit,
-# --check-oracles and verify -n, stops at n = 8 (28 free cells).
+# The full walk, and with it matrix_at, enumerate_bott, --emit and
+# --check-oracles, stops at n = 8 (28 free cells).
 MAX_WALK_BITS = 28
 # --emit holds every listed line in memory until the census ends: at
 # n = 8 that is 2^28 lines of 71 characters, about 34 GB.
@@ -233,24 +233,20 @@ def _classify_range(
     # a plain dict: a Counter's += here made the n = 6 census about 9% slower
     tally: dict[tuple[bool, bool, bool], int] = {}
     emitted: list[str] = []
-    offender = None
     for index in range(start, stop):
         rows = [table[(index >> shift) & mask] for shift, mask in layout]
         try:
             verdicts = bott_verdicts(n, rows)
         except InconsistencyError as exc:
-            offender = (_index_of(n, rows), mask_line(n, rows), str(exc))
-            break
-        if check_oracles:
-            a = BottMatrix._make(n, tuple(rows))
-            problems = cross_check(a, verdicts)
+            return tally, emitted, (_index_of(n, rows), mask_line(n, rows), str(exc))
+        if check_oracles:  # the full walk: index is already the full-space one
+            problems = cross_check(BottMatrix._make(n, tuple(rows)), verdicts)
             if problems:
-                offender = (index, a.to_line(), problems[0])
-                break
+                return tally, emitted, (index, mask_line(n, rows), problems[0])
         tally[verdicts] = tally.get(verdicts, 0) + 1
         if emit:
             emitted.append(mask_line(n, rows))
-    return tally, emitted, offender
+    return tally, emitted, None
 
 
 def run_census(cfg: CensusConfig) -> tuple[CensusRow, list[str]]:

@@ -4,11 +4,12 @@ Subcommands: check, ideal, sw, kahler, census, verify.  Verdicts are
 data, not errors: a non-Spin manifold still exits 0.  Exit code 2 is
 reserved for input and processing problems (unparseable files, bad
 dimensions, size guards).  Exit code 1 means a cross-check disagreed:
-verify on one file lists the disagreements, while verify -n and
-census --check-oracles stop at the first one and print a single error
-line with its index and serialized matrix.  check also exits 1, with
-one error line, when analyze's own cross-checks fail (for instance the
-two Spin deciders disagree), since that too is a cross-check failure.
+verify lists the disagreements on its one matrix, while census
+--check-oracles, the exhaustive cross-check, stops at the first one and
+prints a single error line with its index and serialized matrix.  check
+also exits 1, with one error line, when analyze's own cross-checks fail
+(for instance the two Spin deciders disagree), since that too is a
+cross-check failure.
 """
 
 from __future__ import annotations
@@ -185,20 +186,12 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.n is not None:
-        # The census driver stops at the first disagreement by raising
-        # OracleDisagreementError, so a finished run found none.
-        total = run_census(CensusConfig(n=args.n, check_oracles=True))[0].total
-        problems: list[str] = []
-    else:
-        total = 1
-        a = parse_bott(_read(args.path))
-        try:
-            problems = cross_check(a, bott_verdicts(a.n, a.row_masks))
-        except InconsistencyError as exc:  # raised by the kernel's own checks
-            problems = [str(exc)]
-    noun = "matrix" if total == 1 else "matrices"
-    print(f"{total} {noun}, {len(problems)} disagreements")
+    a = parse_bott(_read(args.path))
+    try:
+        problems = cross_check(a, bott_verdicts(a.n, a.row_masks))
+    except InconsistencyError as exc:  # raised by the kernel's own checks
+        problems = [str(exc)]
+    print(f"1 matrix, {len(problems)} disagreements")
     for msg in problems:
         print(msg)
     return 0 if not problems else 1
@@ -258,10 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="parallel workers, at most one per usable CPU",
     )
 
-    verify = sub.add_parser("verify", help="oracle cross-check report")
-    group = verify.add_mutually_exclusive_group(required=True)
-    group.add_argument("path", nargs="?", help="matrix file to verify")
-    group.add_argument("-n", type=int, help="verify every matrix of this dimension")
+    verify = add_matrix_command("verify", "oracle cross-check report", pmat=False)
 
     check.set_defaults(func=_cmd_check)
     ideal.set_defaults(func=_cmd_ideal)

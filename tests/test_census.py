@@ -369,6 +369,49 @@ class TestDisagreementAbort:
         )
 
 
+class TestCrossCheck:
+    """cross_check on README's six-dimensional fixture, which is orientable,
+    Kahler and not Spin: findings come back in a fixed order, analyze's
+    first, then the motions' orientability, then the motion oracle's."""
+
+    line = "001111/001111/000011/000011/000000/000000"
+    wrong = (False, True, False)
+    analyze_msg = (
+        f"kernel and analyze disagree on {line}: "
+        "(orientable, kahler, spin) = (False, True, False) against (True, True, False)"
+    )
+    motions_msg = f"kernel and motions disagree on {line}: orientable = False against True"
+
+    def test_kernel_verdicts_agree(self, sixdim_bott):
+        verdicts = census_mod.bott_verdicts(sixdim_bott.n, sixdim_bott.row_masks)
+        assert verdicts == (True, True, False)
+        assert census_mod.cross_check(sixdim_bott, verdicts) == []
+
+    def test_wrong_verdicts_in_order(self, sixdim_bott):
+        assert census_mod.cross_check(sixdim_bott, self.wrong) == [
+            self.analyze_msg,
+            self.motions_msg,
+        ]
+
+    def test_analyze_error_comes_first(self, sixdim_bott, monkeypatch):
+        def raising(a):
+            raise InconsistencyError("injected analyze fault")
+
+        monkeypatch.setattr(census_mod, "analyze", raising)
+        assert census_mod.cross_check(sixdim_bott, self.wrong) == [
+            "injected analyze fault",
+            self.motions_msg,
+        ]
+
+    def test_oracle_finding_comes_last(self, sixdim_bott, monkeypatch):
+        monkeypatch.setattr(census_mod, "check_against_rows", lambda a: ["oracle finding"])
+        assert census_mod.cross_check(sixdim_bott, self.wrong) == [
+            self.analyze_msg,
+            self.motions_msg,
+            "oracle finding",
+        ]
+
+
 class TestWorkerCap:
     """run_census never asks for more workers than usable CPUs or matrices.
 

@@ -405,7 +405,6 @@ class TestCensus:
         [
             ["census", "-n", "10"],  # 2^36 orientable matrices
             ["census", "-n", "9", "--check-oracles"],  # 2^36 matrices, full walk
-            ["verify", "-n", "9"],
         ],
     )
     def test_walk_guard_exit_2(self, capsys, monkeypatch, argv):
@@ -420,15 +419,25 @@ class TestCensus:
 
 
 class TestVerify:
+    """verify cross-checks one matrix; census --check-oracles is the one
+    exhaustive cross-check, run here by test_exhaustive_n4 and _n1."""
+
     def test_exhaustive_n4(self, capsys):
-        code, out, _ = run(capsys, "verify", "-n", "4")
-        assert code == 0
-        assert out.strip() == "64 matrices, 0 disagreements"
+        # README's pinned row, with every matrix through every route
+        code, out, _ = run(capsys, "census", "-n", "4", "--check-oracles", "--csv")
+        assert (code, out) == (0, f"{CSV_HEADER}\n4,64,8,6,8,6,0\n")
 
     def test_exhaustive_n1(self, capsys):
-        code, out, _ = run(capsys, "verify", "-n", "1")
-        assert code == 0
-        assert out.strip() == "1 matrix, 0 disagreements"
+        code, out, _ = run(capsys, "census", "-n", "1", "--check-oracles", "--csv")
+        assert (code, out) == (0, f"{CSV_HEADER}\n1,1,1,0,1,0,0\n")
+
+    def test_no_dimension_mode(self, capsys):
+        # verify takes one matrix file and no dimension: argparse refuses
+        # -n before any work
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "-n", "3"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_single_file(self, capsys, sixdim_bott_file):
         code, out, _ = run(capsys, "verify", sixdim_bott_file)
@@ -535,8 +544,8 @@ class TestVerify:
 
 
 class TestOracleFailure:
-    """A disagreement ends census --check-oracles and verify -n with one
-    error line carrying the index and the serialized matrix, exit 1."""
+    """A disagreement ends census --check-oracles with one error line
+    carrying the index and the serialized matrix, exit 1."""
 
     @pytest.fixture
     def sabotaged(self, monkeypatch):
@@ -551,11 +560,8 @@ class TestOracleFailure:
         monkeypatch.setattr(census_mod, "analyze", analyze)
         return bad.to_line()
 
-    @pytest.mark.parametrize(
-        "argv", [["census", "-n", "3", "--check-oracles"], ["verify", "-n", "3"]]
-    )
-    def test_error_line_exit_1(self, capsys, sabotaged, argv):
-        code, out, err = run(capsys, *argv)
+    def test_error_line_exit_1(self, capsys, sabotaged):
+        code, out, err = run(capsys, "census", "-n", "3", "--check-oracles")
         assert code == 1
         assert out == ""
         assert err.splitlines() == [
