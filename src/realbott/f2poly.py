@@ -2,9 +2,10 @@
 
 Coefficients live in the two-element field, so a polynomial is a finite
 set of monomials: adding a monomial twice cancels it, and the zero
-polynomial is the empty set.  Monomials are exponent tuples of a fixed
-length (one slot per variable) and sort in graded lexicographic order,
-degree first.
+polynomial is the empty set.  A monomial is the sorted tuple of its
+0-based variable indices, one entry per factor (x1*x3^2 is (0, 2, 2),
+the unit is ()), so its size is its degree, not the variable count.
+Monomials sort in graded lexicographic order, degree first.
 
 The module also carries the GF(2) linear algebra needed on graded
 pieces: row reduction of bitmask matrices, row-space membership, and a
@@ -25,6 +26,7 @@ immutable, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -42,14 +44,12 @@ Monomial = tuple[int, ...]
 
 def format_monomial(m: Monomial) -> str:
     """Render as juxtaposed powers, e.g. ``x1x3^2``; the unit is ``1``."""
-    if not any(m):
+    if not m:
         return "1"
     parts = []
-    for i, e in enumerate(m):
-        if e == 1:
-            parts.append(f"x{i + 1}")
-        elif e > 1:
-            parts.append(f"x{i + 1}^{e}")
+    for i, run in groupby(m):
+        e = len(list(run))
+        parts.append(f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}")
     return "".join(parts)
 
 
@@ -67,15 +67,11 @@ class GradedPolyF2:
         acc: set[Monomial] = set()
         for m in terms:
             t = tuple(m)
-            if not all(isinstance(e, int) for e in t):
-                raise ValueError(f"non-int exponent in monomial {t}")
-            t = tuple(map(int, t))  # a bool exponent becomes 0 or 1
-            if len(t) != num_vars:
-                raise ValueError(
-                    f"monomial {t} has {len(t)} exponents, expected {num_vars}"
-                )
-            if any(e < 0 for e in t):
-                raise ValueError(f"negative exponent in monomial {t}")
+            if not all(isinstance(i, int) for i in t):
+                raise ValueError(f"non-int variable index in monomial {t}")
+            t = tuple(sorted(map(int, t)))  # a bool index becomes 0 or 1
+            if t and not (t[0] >= 0 and t[-1] < num_vars):
+                raise ValueError(f"monomial {t} has a variable index outside 0..{num_vars - 1}")
             acc ^= {t}  # characteristic 2: repeated monomials cancel
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "terms", frozenset(acc))
@@ -93,20 +89,14 @@ class GradedPolyF2:
 
     @classmethod
     def one(cls, num_vars: int) -> GradedPolyF2:
-        return cls._make(num_vars, frozenset({(0,) * num_vars}))
+        return cls._make(num_vars, frozenset({()}))
 
     @classmethod
     def linear(cls, num_vars: int, mask: int) -> GradedPolyF2:
         """The linear form whose x_{i+1} coefficient is bit i of mask."""
         if not 0 <= mask < (1 << num_vars):
             raise ValueError(f"coefficient mask {mask:#x} out of range for {num_vars} variables")
-        terms = []
-        for i in range(num_vars):
-            if (mask >> i) & 1:
-                e = [0] * num_vars
-                e[i] = 1
-                terms.append(tuple(e))
-        return cls._make(num_vars, frozenset(terms))
+        return cls._make(num_vars, frozenset((i,) for i in range(num_vars) if mask >> i & 1))
 
     @property
     def is_zero(self) -> bool:
@@ -130,26 +120,24 @@ class GradedPolyF2:
         self._check_vars(other)
         acc: set[Monomial] = set()
         for m1 in self.terms:
-            d1 = sum(m1)
+            d1 = len(m1)
             if d1 > max_degree:
                 continue
             for m2 in other.terms:
-                if d1 + sum(m2) > max_degree:
+                if d1 + len(m2) > max_degree:
                     continue
-                acc ^= {tuple(a + b for a, b in zip(m1, m2))}
+                acc ^= {tuple(sorted(m1 + m2))}
         return GradedPolyF2._make(self.num_vars, frozenset(acc))
 
     def graded_component(self, k: int) -> GradedPolyF2:
         """The homogeneous piece of total degree k."""
         if k < 0:
             raise ValueError("degree must be non-negative")
-        return GradedPolyF2._make(
-            self.num_vars, frozenset(m for m in self.terms if sum(m) == k)
-        )
+        return GradedPolyF2._make(self.num_vars, frozenset(m for m in self.terms if len(m) == k))
 
     def sorted_terms(self) -> list[Monomial]:
-        """Graded lex: by degree, then (stably) earlier variables first."""
-        return sorted(sorted(self.terms, reverse=True), key=sum)
+        """Graded lex: by degree, then earlier variables first."""
+        return sorted(self.terms, key=lambda m: (len(m), m))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedPolyF2):
@@ -173,7 +161,8 @@ class GradedPolyF2:
 
 # Size guard on the running product of truncated_product.  Its term count
 # depends on the factors, so it is checked after each factor: a random 12x14
-# P-matrix at degree 14 would build 2,918,928 terms in over a minute.
+# P-matrix at degree 14 would build 2,918,928 terms, and is stopped after
+# factor 11 of 14, about 1.1 s in (2 vCPUs).
 MAX_PRODUCT_TERMS = 1 << 18
 
 
@@ -291,9 +280,9 @@ def encode_degree2(p: GradedPolyF2) -> int:
     """Coordinates of a homogeneous degree-2 polynomial as a bitmask."""
     mask = 0
     for m in p.terms:
-        if sum(m) != 2:
+        if len(m) != 2:
             raise ValueError(f"monomial {m} is not of degree 2")
-        i, j = (k for k, e in enumerate(m) for _ in range(e))
+        i, j = m
         mask |= 1 << degree2_index(p.num_vars, i, j)
     return mask
 
@@ -311,10 +300,7 @@ def decode_degree2(num_vars: int, mask: int) -> GradedPolyF2:
         while block:
             low = block & -block
             block ^= low
-            m = [0] * num_vars
-            m[i] += 1
-            m[i + low.bit_length() - 1] += 1
-            terms.append(tuple(m))
+            terms.append((i, i + low.bit_length() - 1))
         i += 1
     return GradedPolyF2._make(num_vars, frozenset(terms))
 

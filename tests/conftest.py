@@ -7,7 +7,7 @@ but carries no Spin structure, which exercises every decider at once.
 
 import pytest
 
-from realbott import BottMatrix, PMatrix, parse_bott, parse_pmatrix
+from realbott import BottMatrix, GradedPolyF2, PMatrix, parse_bott, parse_pmatrix
 
 SIXDIM_BOTT_TEXT = """\
 0 0 1 1 1 1
@@ -61,3 +61,13 @@ def identical_columns_matrix(n: int, k: int) -> BottMatrix:
             f"n={n} strictly upper-triangular matrix"
         )
     return BottMatrix(((0,) * (n - 2 * k) + (1,) * (2 * k),) + ((0,) * n,) * (n - 1))
+
+
+def indices(exponents) -> tuple[int, ...]:
+    """The monomial of an exponent vector: (1, 0, 2), x1x3^2, is (0, 2, 2)."""
+    return tuple(i for i, e in enumerate(exponents) for _ in range(e))
+
+
+def from_exponents(num_vars: int, exponent_vectors) -> GradedPolyF2:
+    """A polynomial spelled as exponent vectors, one slot per variable."""
+    return GradedPolyF2(num_vars, [indices(v) for v in exponent_vectors])

@@ -3,6 +3,7 @@
 import itertools
 import multiprocessing
 import random
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import FrozenInstanceError
 
@@ -44,7 +45,14 @@ import realbott.bottcore as bottcore_mod
 from realbott.bottcore import mask_line
 from realbott.f2poly import F2Matrix, degree2_count, encode_degree2
 
-from conftest import SIXDIM_BOTT_TEXT, SIXDIM_P_TEXT, identical_columns_matrix, zero_bott
+from conftest import (
+    SIXDIM_BOTT_TEXT,
+    SIXDIM_P_TEXT,
+    from_exponents,
+    identical_columns_matrix,
+    indices,
+    zero_bott,
+)
 
 
 def theta_formula(a: BottMatrix, j: int) -> GradedPolyF2:
@@ -54,7 +62,7 @@ def theta_formula(a: BottMatrix, j: int) -> GradedPolyF2:
     for i in range(j):
         if a.rows[i][j]:
             terms.append(tuple(1 if k in (i, j) else 0 for k in range(n)))
-    return GradedPolyF2(n, terms)
+    return from_exponents(n, terms)
 
 
 class TestParsing:
@@ -414,8 +422,8 @@ class TestCharacteristicIdeal:
         # x2x6 inside theta_5 (instead of x3x5) is a transcription slip.
         theta5 = characteristic_ideal(sixdim_p).thetas[4]
         for m in theta5.terms:
-            assert m[4] > 0  # x5 divides every term
-        x2x6_variant = GradedPolyF2(
+            assert 4 in m  # x5 divides every term
+        x2x6_variant = from_exponents(
             6,
             [
                 (1, 0, 0, 0, 1, 0),
@@ -431,7 +439,7 @@ class TestCharacteristicIdeal:
         for n in (1, 3, 5):
             basis = characteristic_ideal(bott_to_p(zero_bott(n)))
             for j, theta in enumerate(basis.thetas):
-                assert theta == GradedPolyF2(
+                assert theta == from_exponents(
                     n, [tuple(2 if k == j else 0 for k in range(n))]
                 )
             assert basis.rank == n
@@ -475,7 +483,7 @@ class TestOrientability:
                 coeffs = {m: 1 for m in w1.terms}
                 for i in range(n):
                     e = tuple(1 if k == i else 0 for k in range(n))
-                    assert coeffs.get(e, 0) == sum(a.rows[i]) & 1
+                    assert coeffs.get(indices(e), 0) == sum(a.rows[i]) & 1
 
 
 class TestKahler:
@@ -563,6 +571,21 @@ class TestSpin:
         for n in (1, 2, 3, 4, 6):
             spin, _, w2 = spin_membership(zero_bott(n))
             assert spin and w2.is_zero
+
+    def test_monomial_size_follows_degree(self):
+        # a monomial keeps one variable index per factor, so w2 of the
+        # (i + j) mod 2 matrix at d = 200 costs its degree, not 200 slots
+        # per term (about 9 MB with dense exponent vectors)
+        n = 200
+        a = BottMatrix(tuple(tuple((i + j) % 2 * (j > i) for j in range(n)) for i in range(n)))
+        tracemalloc.start()
+        try:
+            _, _, w2 = spin_membership(a)
+            assert str(w2).startswith("x1x3 + x1x7 + x1x11")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
 
     def test_identical_columns_family_even_k(self):
         a = identical_columns_matrix(6, 2)
@@ -657,7 +680,7 @@ class TestSpin:
             for a in enumerate_bott(n):
                 basis = characteristic_ideal(bott_to_p(a))
                 for i in range(n):
-                    x_i_sq = GradedPolyF2(n, [tuple(2 if k == i else 0 for k in range(n))])
+                    x_i_sq = from_exponents(n, [tuple(2 if k == i else 0 for k in range(n))])
                     member = basis.reduced.in_row_space(encode_degree2(x_i_sq))
                     assert member == (not any(a.column(i)))
 
@@ -674,7 +697,7 @@ class TestSpin:
             a = BottMatrix(tuple(tuple(r) for r in rows))
             spin, w1, w2 = spin_membership(a)
             basis = characteristic_ideal(bott_to_p(a))
-            expected_w2 = GradedPolyF2(
+            expected_w2 = from_exponents(
                 n, [tuple(2 if i == 1 else 0 for i in range(n))]
             )
             assert w2.graded_component(2) == expected_w2  # k odd: w2 = L^2 = x2^2
@@ -929,6 +952,8 @@ class TestMaskRouteTwin:
 
     @settings(max_examples=100, deadline=None)
     @given(bott_matrices(max_n=8))
+    @example(from_columns(64, [random.Random(64).randrange(1 << j) for j in range(64)]))
+    @example(seeded_planted_kahler(random.Random(64), 64))  # orientable: membership runs
     def test_bott_shape(self, a):
         assert mask_route_matches(bott_to_p(a))
 

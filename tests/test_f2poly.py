@@ -20,9 +20,17 @@ from realbott.f2poly import (
     truncated_product,
 )
 
+from conftest import from_exponents, indices
+
 
 def poly(num_vars, *terms):
-    return GradedPolyF2(num_vars, terms)
+    """A polynomial spelled as exponent vectors: poly(3, (1, 0, 2)) is x1x3^2."""
+    return from_exponents(num_vars, terms)
+
+
+def exponents(m, num_vars: int) -> tuple[int, ...]:
+    """The exponent vector of a monomial, the inverse of indices."""
+    return tuple(m.count(i) for i in range(num_vars))
 
 
 def one_plus(num_vars: int, mask: int) -> GradedPolyF2:
@@ -32,7 +40,7 @@ def one_plus(num_vars: int, mask: int) -> GradedPolyF2:
 
 def truncate(p: GradedPolyF2, max_degree: int) -> GradedPolyF2:
     """Reference for truncated_product: p with every term above max_degree dropped."""
-    return GradedPolyF2(p.num_vars, [m for m in p.terms if sum(m) <= max_degree])
+    return GradedPolyF2(p.num_vars, [m for m in p.terms if len(m) <= max_degree])
 
 
 def monomial_key(m):
@@ -54,12 +62,14 @@ def format_monomial(m):
 
 
 def reference_product(p: GradedPolyF2, q: GradedPolyF2) -> GradedPolyF2:
-    """p * q by the plain double loop over term pairs, cancelling in pairs."""
+    """p * q by the plain double loop over term pairs, cancelling in pairs,
+    on exponent vectors."""
     acc = set()
     for m1 in p.terms:
         for m2 in q.terms:
-            acc ^= {tuple(a + b for a, b in zip(m1, m2))}
-    return GradedPolyF2(p.num_vars, acc)
+            e1, e2 = exponents(m1, p.num_vars), exponents(m2, q.num_vars)
+            acc ^= {tuple(a + b for a, b in zip(e1, e2))}
+    return from_exponents(p.num_vars, acc)
 
 
 @st.composite
@@ -67,7 +77,7 @@ def rendering_polys(draw, num_vars=None):
     """Polynomials in d <= 6 variables with exponents 0..3 and 0-12 terms."""
     d = draw(st.integers(0, 6)) if num_vars is None else num_vars
     monomials = st.tuples(*([st.integers(0, 3)] * d))
-    return GradedPolyF2(d, draw(st.lists(monomials, max_size=12)))
+    return from_exponents(d, draw(st.lists(monomials, max_size=12)))
 
 
 # The six truncated-product factors of the six-dimensional reference
@@ -126,20 +136,25 @@ class TestGradedPolyF2:
             poly(2, (1, 0)) * poly(3, (1, 0, 0))
 
     def test_bad_monomials_rejected(self):
-        with pytest.raises(ValueError):
-            GradedPolyF2(2, [(1,)])
-        with pytest.raises(ValueError):
-            GradedPolyF2(2, [(-1, 0)])
+        # a monomial lists variable indices, each in 0..num_vars - 1
+        for num_vars, monomial in ((2, (2,)), (2, (-1, 0)), (3, (3,)), (3, (-1,))):
+            with pytest.raises(ValueError, match="variable index outside"):
+                GradedPolyF2(num_vars, [monomial])
+        # an unsorted monomial is normalized, not rejected; a repeat is a power
+        assert GradedPolyF2(3, [(2, 0)]) == GradedPolyF2(3, [(0, 2)])
+        assert GradedPolyF2(2, [(1, 1)]) == poly(2, (0, 2))
 
     @pytest.mark.parametrize("monomial", [(1.5, 0), ("1", 0), (1, 1.0)])
     def test_non_int_exponents_rejected(self, monomial):
-        with pytest.raises(ValueError, match="non-int exponent"):
+        with pytest.raises(ValueError, match="non-int variable index"):
             GradedPolyF2(2, [monomial])
 
     def test_bool_exponents_become_ints(self):
         p = GradedPolyF2(2, [(True, False)])
-        assert p == poly(2, (1, 0))
-        assert repr(p) == "GradedPolyF2(2, [(1, 0)])"
+        assert p == poly(2, (1, 1))
+        assert repr(p) == "GradedPolyF2(2, [(0, 1)])"
+        assert GradedPolyF2(2, [(True,)]) == poly(2, (0, 1))
+        assert eval(repr(p)) == p
 
     def test_graded_component(self):
         p = poly(2, (0, 0), (1, 0), (1, 1))
@@ -161,11 +176,12 @@ class TestGradedPolyF2:
 
     @given(rendering_polys())
     def test_rendering_matches_reference(self, p):
-        order = sorted(p.terms, key=monomial_key)
-        assert p.sorted_terms() == order
+        order = sorted((exponents(m, p.num_vars) for m in p.terms), key=monomial_key)
+        assert [exponents(m, p.num_vars) for m in p.sorted_terms()] == order
         expected = " + ".join(format_monomial(m) for m in order) if order else "0"
         assert str(p) == expected
-        assert repr(p) == f"GradedPolyF2({p.num_vars}, {order!r})"
+        assert repr(p) == f"GradedPolyF2({p.num_vars}, {[indices(e) for e in order]!r})"
+        assert eval(repr(p)) == p
 
     @given(st.data())
     def test_product_matches_reference(self, data):
@@ -235,7 +251,7 @@ def linear_forms(draw, max_vars=16):
 def small_polys(draw, num_vars):
     monomials = st.tuples(*([st.integers(0, 2)] * num_vars))
     terms = draw(st.lists(monomials, max_size=4))
-    return GradedPolyF2(num_vars, terms)
+    return from_exponents(num_vars, terms)
 
 
 class TestPolynomialProperties:
@@ -247,7 +263,7 @@ class TestPolynomialProperties:
         lin = GradedPolyF2.linear(d, mask)
         expected = GradedPolyF2.one(d) + (lin * lin).graded_component(2)
         assert truncated_product([f, f], 2) == expected
-        squares = GradedPolyF2(
+        squares = from_exponents(
             d,
             [tuple(2 if k == i else 0 for k in range(d)) for i in range(d) if (mask >> i) & 1],
         )
@@ -378,12 +394,12 @@ class TestDegree2Coordinates:
             for j in range(i, d):
                 col = degree2_index(d, i, j)
                 (m,) = decode_degree2(d, 1 << col).terms
-                assert m == tuple((k == i) + (k == j) for k in range(d))
+                assert exponents(m, d) == tuple((k == i) + (k == j) for k in range(d))
                 assert encode_degree2(GradedPolyF2(d, [m])) == 1 << col
 
     def test_decode_keeps_no_table(self):
-        # one monomial of d = 300 decodes in far less than the 45,150
-        # degree-2 exponent tuples of a full table (about 100 MB)
+        # one monomial of d = 300 decodes in far less than a full table of
+        # the 45,150 degree-2 monomials (about 5 MB as index pairs)
         d = 300
         tracemalloc.start()
         try:
@@ -408,7 +424,7 @@ class TestDegree2Coordinates:
     def test_decode_rejects_out_of_range_mask(self):
         # d = 3 has 6 columns, all of them set in the largest valid mask
         every = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
-        assert decode_degree2(3, (1 << 6) - 1) == GradedPolyF2(3, every)
+        assert decode_degree2(3, (1 << 6) - 1) == from_exponents(3, every)
         for mask in (-1, 1 << 6):
             with pytest.raises(ValueError, match="out of range for 3 variables"):
                 decode_degree2(3, mask)
