@@ -85,46 +85,55 @@ class InconsistencyError(RuntimeError):
     """Two routes that must agree disagreed; always an implementation bug."""
 
 
-def _grid_masks(rows: Sequence[Sequence[int]], bott: bool) -> tuple[int, list[int], list[int]]:
-    """Validate a grid of entries row-major and return (width, lows, highs).
+# digit -> its alpha and its beta bit: alpha is 1 on entries 1, 2 and beta on 1, 3
+_ALPHA_DIGITS, _BETA_DIGITS = str.maketrans("0123", "0110"), str.maketrans("0123", "0101")
 
-    Bits j of lows[i] and highs[i] are bits 0 and 1 of entry (i, j).  Per
+
+def _grid_masks(rows: Sequence, bott: bool, text: bool = False) -> tuple[int, list, list]:
+    """Check a grid row-major and return (width, alphas, betas).
+
+    Bits j of alphas[i] and betas[i] are alpha and beta of entry (i, j); a
+    0/1 entry is its own alpha and beta, so a Bott matrix keeps alphas.  Per
     row it checks the length (the row count for a Bott matrix, row 1's
     width otherwise), then that each entry is an int in 0..1 (Bott) or
     0..3, then, for a Bott matrix, that nothing sits on or below the
-    diagonal; the first fault raises MatrixParseError.
+    diagonal; the first fault raises MatrixParseError.  text=True takes
+    the reader's checked digit strings, one base-2 int per plane.
     """
     if not rows:
         raise MatrixParseError("empty matrix")
     width = len(rows) if bott else len(rows[0])
     if width == 0:
         raise MatrixParseError("empty matrix row")
-    top, expected = (1, "is not 0 or 1") if bott else (3, "is not in 0..3")
-    lows: list[int] = []
-    highs: list[int] = []
+    top, why = (1, "is not 0 or 1") if bott else (3, "is not in 0..3")
+    alphas: list[int] = []
+    betas: list[int] = []
     for i, row in enumerate(rows):
         if len(row) != width:
             raise MatrixParseError(
                 f"row {i + 1} has {len(row)} entries, expected {width}"
                 + (" (matrix must be square)" if bott else "")
             )
-        low = high = 0
-        for j, e in enumerate(row):
-            if not isinstance(e, int) or not 0 <= e <= top:
-                raise MatrixParseError(f"entry {e!r} at row {i + 1}, column {j + 1} {expected}")
-            if e > 1:  # never in a Bott grid, which builds no bit-1 plane
-                high |= 1 << j
-                e -= 2
-            low |= e << j
-        below = low & ((2 << i) - 1)
+        if text:
+            row = row[::-1]  # column j is bit j
+            alpha = int(row if bott else row.translate(_ALPHA_DIGITS), 2)
+            beta = alpha if bott else int(row.translate(_BETA_DIGITS), 2)
+        else:
+            alpha = beta = 0
+            for j, e in enumerate(row):
+                if not isinstance(e, int) or not 0 <= e <= top:
+                    raise MatrixParseError(f"entry {e!r} at row {i + 1}, column {j + 1} {why}")
+                alpha |= ((e ^ e >> 1) & 1) << j  # bit 0 XOR bit 1
+                beta |= (e & 1) << j
+        below = alpha & ((2 << i) - 1)
         if bott and below:
             raise MatrixParseError(
                 f"entry at row {i + 1}, column {(below & -below).bit_length()} must be 0 "
                 "(matrix must be strictly upper triangular)"
             )
-        lows.append(low)
-        highs.append(high)
-    return width, lows, highs
+        alphas.append(alpha)
+        betas.append(beta)
+    return width, alphas, betas
 
 
 def _render(m: BottMatrix | PMatrix) -> str:
@@ -137,8 +146,8 @@ class BottMatrix:
     """Strictly upper-triangular 0/1 matrix defining a real Bott manifold.
 
     Stored as row masks: bit j of row_masks[i] is a_ij.  BottMatrix(rows)
-    validates a grid of 0/1 rows; _make, for the matrices the library
-    builds itself, does not.  .rows and .column(j) read the masks.
+    validates a grid of 0/1 rows; _make, for masks the library built or
+    parse_bott checked, does not.  .rows and .column(j) read the masks.
     """
 
     n: int
@@ -179,8 +188,8 @@ class PMatrix:
 
     Stored as two bitplanes: bit j of alpha_masks[i] and of beta_masks[i]
     are alpha and beta of entry (i, j).  PMatrix(rows) validates a grid
-    of rows over 0..3; _make, for the matrices the library builds itself,
-    does not.  .rows reads the bitplanes.
+    of rows over 0..3; _make, for planes the library built or
+    parse_pmatrix checked, does not.  .rows reads the bitplanes.
     """
 
     d: int
@@ -189,10 +198,8 @@ class PMatrix:
     beta_masks: tuple[int, ...]
 
     def __init__(self, rows: Sequence[Sequence[int]]) -> None:
-        n, lows, highs = _grid_masks(rows, bott=False)
-        # beta is bit 0 of an entry and alpha is bit 0 XOR bit 1 (see .rows)
-        alphas = tuple(map(xor, lows, highs))
-        self.__dict__.update(d=len(rows), n=n, alpha_masks=alphas, beta_masks=tuple(lows))
+        n, alphas, betas = _grid_masks(rows, bott=False)
+        self.__dict__.update(d=len(rows), n=n, alpha_masks=tuple(alphas), beta_masks=tuple(betas))
 
     @classmethod
     def _make(cls, d: int, n: int, alphas: tuple[int, ...], betas: tuple[int, ...]) -> PMatrix:
@@ -211,12 +218,13 @@ class PMatrix:
     __str__ = _render
 
 
-def _parse_matrix_text(text: str, alphabet: str) -> list[tuple[int, ...]]:
+def _parse_matrix_text(text: str, alphabet: str) -> list[str]:
     """Shared digit-grid reader: '/' or newline ends a row, '#' starts a comment.
 
-    It checks only characters; the matrix constructors check the shape.
+    It checks only characters and returns each row's digit string; the
+    parsers check the shape and build the masks with _grid_masks.
     """
-    rows: list[tuple[int, ...]] = []
+    rows: list[str] = []
     for line in text.splitlines():
         for chunk in line.split("#", 1)[0].split("/"):
             row = "".join(chunk.split())
@@ -227,7 +235,7 @@ def _parse_matrix_text(text: str, alphabet: str) -> list[tuple[int, ...]]:
                     f"{len(row) - len(bad) + 1} (expected one of {','.join(alphabet)})"
                 )
             if row:
-                rows.append(tuple(map(int, row)))
+                rows.append(row)
     return rows
 
 
@@ -237,12 +245,15 @@ def parse_bott(text: str) -> BottMatrix:
     Rows sit on separate lines or are separated by '/'; whitespace
     between digits is optional and '#' comments run to end of line.
     """
-    return BottMatrix(_parse_matrix_text(text, "01"))
+    n, masks, _ = _grid_masks(_parse_matrix_text(text, "01"), bott=True, text=True)
+    return BottMatrix._make(n, tuple(masks))
 
 
 def parse_pmatrix(text: str) -> PMatrix:
     """Parse a P-matrix from a digit grid over the alphabet 0..3."""
-    return PMatrix(_parse_matrix_text(text, "0123"))
+    rows = _parse_matrix_text(text, "0123")
+    n, alphas, betas = _grid_masks(rows, bott=False, text=True)
+    return PMatrix._make(len(rows), n, tuple(alphas), tuple(betas))
 
 
 def bott_to_p(a: BottMatrix) -> PMatrix:
@@ -377,7 +388,8 @@ def _transpose(masks: Sequence[int], width: int) -> list[int]:
 
 def _theta_matrix(d: int, alphas: list[int], betas: list[int]) -> F2Matrix:
     """The encode_degree2 masks of theta_j = alpha_j * beta_j, one row each."""
-    return F2Matrix((mul_linear(d, a, b) for a, b in zip(alphas, betas)), degree2_count(d))
+    rows = tuple([mul_linear(d, a, b) for a, b in zip(alphas, betas)])
+    return F2Matrix._make(rows, degree2_count(d))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ import json
 import sys
 from dataclasses import fields
 from functools import cache
-from pathlib import Path
 from typing import Optional
 
 from .bottcore import (
@@ -51,7 +50,8 @@ from .f2poly import decode_degree2
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8-sig")
+    with open(path, encoding="utf-8-sig") as f:
+        return f.read()
 
 
 def _load_pmatrix(args: argparse.Namespace) -> PMatrix:

@@ -26,7 +26,6 @@ immutable, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from itertools import groupby
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -43,14 +42,16 @@ Monomial = tuple[int, ...]
 
 
 def format_monomial(m: Monomial) -> str:
-    """Render as juxtaposed powers, e.g. ``x1x3^2``; the unit is ``1``."""
-    if not m:
-        return "1"
-    parts = []
-    for i, run in groupby(m):
-        e = len(list(run))
-        parts.append(f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}")
-    return "".join(parts)
+    """Render as juxtaposed powers, e.g. ``x1x3^2``; the unit is ``1``.
+    One pass: each run of equal sorted indices is a variable and its power."""
+    out, k = "", 0
+    while k < len(m):
+        j = k + 1
+        while j < len(m) and m[j] == m[k]:
+            j += 1
+        out += f"x{m[k] + 1}^{j - k}" if j - k > 1 else f"x{m[k] + 1}"
+        k = j
+    return out or "1"
 
 
 class GradedPolyF2:
@@ -137,7 +138,7 @@ class GradedPolyF2:
 
     def sorted_terms(self) -> list[Monomial]:
         """Graded lex: by degree, then earlier variables first."""
-        return sorted(self.terms, key=lambda m: (len(m), m))
+        return sorted(sorted(self.terms), key=len)  # stable, so lex within a degree
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedPolyF2):
@@ -153,7 +154,7 @@ class GradedPolyF2:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        return " + ".join(format_monomial(m) for m in self.sorted_terms())
+        return " + ".join(map(format_monomial, self.sorted_terms()))
 
     def __repr__(self) -> str:
         return f"GradedPolyF2({self.num_vars}, {self.sorted_terms()!r})"
@@ -214,6 +215,12 @@ class F2Matrix:
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", tuple(clean))
 
+    @classmethod
+    def _make(cls, rows: tuple[int, ...], ncols: int) -> F2Matrix:
+        m = object.__new__(cls)
+        m.ncols, m.rows = ncols, rows
+        return m
+
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -237,7 +244,7 @@ class F2Matrix:
                     if row & low:
                         basis[bit] = row ^ r
                 basis[low] = r
-        return F2Matrix((basis[bit] for bit in sorted(basis)), self.ncols)
+        return F2Matrix._make(tuple([basis[bit] for bit in sorted(basis)]), self.ncols)
 
     def in_row_space(self, v: int) -> bool:
         """Whether v (bitmask) is a GF(2) combination of the rows."""

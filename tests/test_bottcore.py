@@ -43,6 +43,7 @@ from realbott import (
 )
 import realbott.bottcore as bottcore_mod
 from realbott.bottcore import mask_line
+from realbott.cli import _read as cli_read
 from realbott.f2poly import F2Matrix, degree2_count, encode_degree2
 
 from conftest import (
@@ -188,6 +189,60 @@ class TestParsing:
         else:
             assert parse(text) == from_grid
 
+    @pytest.mark.parametrize("width", [63, 64, 65, 200])
+    @pytest.mark.parametrize("bott", [True, False], ids=["bott", "pmat"])
+    def test_wide_rows_read_as_the_grid(self, tmp_path, bott, width):
+        """Rows past one machine word: every spelling of the text parses to
+        the matrix the constructor builds from the grid, and a ragged row or
+        an entry on or below the diagonal past column 64 fails with its message.
+        The CRLF and BOM spelling goes through the command line's reader."""
+        rng = random.Random(width)
+        parse, make = (parse_bott, BottMatrix) if bott else (parse_pmatrix, PMatrix)
+        d = width if bott else 9
+        grid = [
+            [rng.randint(0, 1) * (j > i) if bott else rng.randint(0, 3) for j in range(width)]
+            for i in range(d)
+        ]
+
+        def spellings(grid):
+            rows = [" ".join(map(str, row)) for row in grid]
+            yield " / ".join(rows)
+            yield "".join("".join(map(str, row)) + "/" for row in grid)
+            yield "# wide\n" + "".join("\t".join(r.split()) + "\t# row\n" for r in rows)
+            path = tmp_path / "matrix.txt"
+            path.write_bytes(("\ufeff" + "\r\n".join(rows) + "\r\n").encode("utf-8"))
+            yield cli_read(str(path))
+
+        expected = make(grid)
+        for text in spellings(grid):
+            assert parse(text) == expected
+
+        ragged = [row[:] for row in grid]
+        ragged[d // 2] = ragged[d // 2][:-1]
+        broken = [ragged]
+        if bott and width > 64:
+            below = [row[:] for row in grid]
+            # the message names the first: the diagonal at width 65, column 71 at 200
+            for j in [64] if width == 65 else [70, 150, 198]:
+                below[-1][j] = 1
+            broken.append(below)
+        for bad in broken:
+            with pytest.raises(MatrixParseError) as built:
+                make(bad)
+            for text in spellings(bad):
+                with pytest.raises(MatrixParseError) as parsed:
+                    parse(text)
+                assert str(parsed.value) == str(built.value)
+
+    def test_constructors_refuse_digit_strings(self):
+        """Digit strings are text for the parsers, never rows for the constructors."""
+        with pytest.raises(MatrixParseError, match="entry '0' at row 1, column 1"):
+            BottMatrix(["01", "00"])
+        with pytest.raises(MatrixParseError, match="entry '1' at row 1, column 1"):
+            PMatrix(["12", "01"])
+        with pytest.raises(MatrixParseError, match="entry '1' at row 1, column 2"):
+            BottMatrix([[0, "1"], [0, 0]])
+
 
 class TestBottToP:
     def test_zero(self):
@@ -232,6 +287,23 @@ class TestMaskStorage:
         assert check_against_rows(a) == []
         row, _ = run_census(CensusConfig(n=4, check_oracles=True))
         assert row.to_csv() == "4,64,8,6,8,6,0"
+
+    def test_library_f2_rows_skip_validation(self, monkeypatch, sixdim_p):
+        """rref and the theta matrix build rows in range, so they skip
+        the constructor's per-row checks; outside rows keep them."""
+        m = F2Matrix([0b110, 0b011, 0b101], 3)
+
+        def refuse(self, rows, ncols):
+            raise AssertionError("a library-built F2Matrix went through validation")
+
+        monkeypatch.setattr(F2Matrix, "__init__", refuse)
+        assert m.rref().rows == (0b101, 0b110)
+        assert m.rref() == m.rref().rref()
+        assert characteristic_ideal(sixdim_p).rank == 6
+        assert not spin_membership(sixdim_p)[0]
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="bits beyond column 2"):
+            F2Matrix([0b1000], 3)
 
     def test_list_and_tuple_built_are_equal(self):
         pairs = [

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -59,6 +60,15 @@ def format_monomial(m):
         elif e > 1:
             parts.append(f"x{i + 1}^{e}")
     return "".join(parts)
+
+
+def groupby_monomial(m) -> str:
+    """Reference monomial text on index tuples: one itertools.groupby run per variable."""
+    parts = []
+    for i, run in itertools.groupby(m):
+        e = len(list(run))
+        parts.append(f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}")
+    return "".join(parts) or "1"
 
 
 def reference_product(p: GradedPolyF2, q: GradedPolyF2) -> GradedPolyF2:
@@ -182,6 +192,24 @@ class TestGradedPolyF2:
         assert str(p) == expected
         assert repr(p) == f"GradedPolyF2({p.num_vars}, {[indices(e) for e in order]!r})"
         assert eval(repr(p)) == p
+
+    def test_rendering_matches_groupby_reference(self):
+        """Every monomial of degree <= 4 in 5 variables, alone and in shuffled
+        term sets, renders as the groupby reference in graded lex order."""
+        monomials = [
+            m for k in range(5) for m in itertools.combinations_with_replacement(range(5), k)
+        ]
+        assert len(monomials) == 126
+        for m in monomials:
+            assert f2poly_mod.format_monomial(m) == groupby_monomial(m)
+        rng = random.Random(5)
+        for _ in range(300):
+            terms = rng.sample(monomials, rng.randint(1, 40))
+            order = sorted(terms, key=lambda m: (len(m), m))
+            rng.shuffle(terms)
+            p = GradedPolyF2(5, terms)
+            assert p.sorted_terms() == order
+            assert str(p) == " + ".join(map(groupby_monomial, order))
 
     @given(st.data())
     def test_product_matches_reference(self, data):
