@@ -18,12 +18,11 @@ is also the twin the tests compare the orientable walk against.
 Classification is embarrassingly parallel in either space: the index
 range splits into contiguous chunks, each chunk is classified on its
 own, and counts combine by addition, which makes the totals independent
-of chunking and worker count.
+of how the walk is split.
 """
 
 from __future__ import annotations
 
-import concurrent.futures  # its process pool, and multiprocessing, load on first use
 import os
 from collections import Counter
 from dataclasses import astuple, dataclass, fields
@@ -46,15 +45,22 @@ __all__ = [
 ]
 
 # Size guard: a walk enumerates at most 2^28 (268 million) matrices.  The
-# orientable walk takes about 19 s on one core for the 2^21 matrices of
-# n = 8, so n = 9 (2^28 of its 2^36 matrices) should take at least 40
-# minutes, as the per-matrix cost grows with n; n = 10 (2^36) is refused.
+# orientable walk of n = 8 (2^21 matrices) takes 8.4 s on one core of a
+# 2-vCPU host, so n = 9 (2^28 of its 2^36) should take at least 18 minutes
+# there, as the per-matrix cost grows with n; n = 10 (2^36) is refused.
 # The full walk, and with it matrix_at, enumerate_bott, --emit and
 # --check-oracles, stops at n = 8 (28 free cells).
 MAX_WALK_BITS = 28
 # --emit holds every listed line in memory until the census ends: at
 # n = 8 that is 2^28 lines of 71 characters, about 34 GB.
 MAX_EMIT_N = 7
+# One worker per 2^MIN_SHARE_BITS matrices walked, at most one per usable
+# CPU; a single worker runs in process.  In process against a pool of two
+# (2 vCPUs, Python 3.11.7, best of 3): plain n = 6 (2^10 walked) 3.9 vs 5.5
+# ms, n = 7 (2^15) 71 vs 40 ms; --emit n = 6 (2^15) 163 vs 88 ms;
+# --check-oracles n = 4 (2^6) 3.5 vs 5.5 ms, n = 5 (2^10, so in process)
+# 66 vs 36 ms, n = 6 (2^15) 2.98 vs 1.48 s.
+MIN_SHARE_BITS = 12
 
 
 class OracleDisagreementError(RuntimeError):
@@ -97,15 +103,13 @@ class CensusConfig:
     oracle must agree with the row calculus; the first disagreement
     (smallest index) aborts the run with a reproducer.  Either flag
     makes run_census walk the full space, else it walks the orientable
-    space alone.  run_census clamps workers to the number of matrices it
-    walks and of usable CPUs, and refuses emit_matrices above
-    n = MAX_EMIT_N.
+    space alone.  run_census picks its own worker count (see
+    MIN_SHARE_BITS), and refuses emit_matrices above n = MAX_EMIT_N.
     """
 
     n: int
     emit_matrices: bool = False
     check_oracles: bool = False
-    workers: int = 1
 
 
 def cell_count(n: int) -> int:
@@ -216,20 +220,19 @@ def _classify_range(
     stop: int,
     check_oracles: bool,
     emit: bool,
-    orientable_only: bool,
 ) -> tuple[dict[tuple[bool, bool, bool], int], list[str], Optional[tuple[int, str, str]]]:
     """Classify one contiguous index range with bott_verdicts.
 
-    The range indexes the orientable space with orientable_only, else the
-    full space; run_census emits and cross-checks only the full space.
-    With check_oracles, every matrix also goes through cross_check.
+    The range indexes the full space with check_oracles or emit, else the
+    orientable space.  With check_oracles, every matrix also goes through
+    cross_check.
     Returns (tally of (orientable, kahler, spin) verdicts, emitted lines,
     first offender or None); on an offender the range stops early.  The
     offender carries its full-space index in either space, so matrix_at
     reproduces it; the orientable-to-full index map is increasing, so the
     first offender of a range is the one with the smallest index.
     """
-    layout, table = _row_layout(n, orientable_only)
+    layout, table = _row_layout(n, not (check_oracles or emit))
     # a plain dict: a Counter's += here made the n = 6 census about 9% slower
     tally: dict[tuple[bool, bool, bool], int] = {}
     emitted: list[str] = []
@@ -254,9 +257,10 @@ def run_census(cfg: CensusConfig) -> tuple[CensusRow, list[str]]:
 
     Without emit_matrices and check_oracles only the orientable space is
     walked, and every other matrix counts as non-orientable (neither
-    Kahler nor Spin).  Chunk boundaries and worker count never change
-    the counts: chunks are contiguous index ranges and results combine
-    by addition, in index order for the emitted listing.
+    Kahler nor Spin).  Chunk boundaries never change the counts: chunks
+    are contiguous index ranges and results combine by addition, in index
+    order for the emitted listing.  To use fewer CPUs, limit the process's
+    CPU set (for example with taskset), which the worker count follows.
     """
     orientable_only = not (cfg.emit_matrices or cfg.check_oracles)
     bits = _check_size(cfg.n, orientable_only)
@@ -267,13 +271,14 @@ def run_census(cfg: CensusConfig) -> tuple[CensusRow, list[str]]:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cpus = os.cpu_count() or 1
-    workers = max(1, min(cfg.workers, walked, cpus))
+    workers = max(1, min(cpus, walked >> MIN_SHARE_BITS))
     bounds = [(walked * w) // workers for w in range(workers + 1)]
-    modes = (cfg.check_oracles, cfg.emit_matrices, orientable_only)
-    jobs = [(cfg.n, bounds[w], bounds[w + 1], *modes) for w in range(workers)]
+    modes = (cfg.check_oracles, cfg.emit_matrices)
+    jobs = [(cfg.n, lo, hi, *modes) for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1:
         results = [_classify_range(*jobs[0])]
     else:
+        import concurrent.futures  # only a walk that splits pays for it and logging
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_classify_range, *zip(*jobs)))
 

@@ -165,12 +165,7 @@ def _cmd_kahler(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    cfg = CensusConfig(
-        n=args.n,
-        emit_matrices=args.emit,
-        check_oracles=args.check_oracles,
-        workers=args.workers,
-    )
+    cfg = CensusConfig(n=args.n, emit_matrices=args.emit, check_oracles=args.check_oracles)
     row, emitted = run_census(cfg)
     if args.csv:
         print(CSV_HEADER)
@@ -243,12 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     census.add_argument(
         "--emit", action="store_true", help="list every matrix, one per line"
-    )
-    census.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallel workers, at most one per usable CPU",
     )
 
     verify = add_matrix_command("verify", "oracle cross-check report", pmat=False)

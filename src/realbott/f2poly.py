@@ -26,6 +26,7 @@ immutable, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -54,10 +55,9 @@ def format_monomial(m: Monomial) -> str:
     return out or "1"
 
 
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class GradedPolyF2:
     """Multivariate polynomial over GF(2) as a frozen set of monomials."""
-
-    __slots__ = ("num_vars", "terms")
 
     num_vars: int
     terms: frozenset[Monomial]
@@ -193,10 +193,9 @@ def truncated_product(
     return acc
 
 
+@dataclass(frozen=True, init=False, repr=False, eq=False, slots=True)
 class F2Matrix:
     """GF(2) matrix with rows stored as int bitmasks (bit c = column c)."""
-
-    __slots__ = ("ncols", "rows")
 
     ncols: int
     rows: tuple[int, ...]
@@ -218,7 +217,8 @@ class F2Matrix:
     @classmethod
     def _make(cls, rows: tuple[int, ...], ncols: int) -> F2Matrix:
         m = object.__new__(cls)
-        m.ncols, m.rows = ncols, rows
+        object.__setattr__(m, "ncols", ncols)
+        object.__setattr__(m, "rows", rows)
         return m
 
     @property

@@ -5,8 +5,11 @@ SIXDIM_BOTT is a Bott matrix whose columns pair up as (1,2), (3,4),
 but carries no Spin structure, which exercises every decider at once.
 """
 
+import concurrent.futures
+
 import pytest
 
+import realbott.census as census_mod
 from realbott import BottMatrix, GradedPolyF2, PMatrix, parse_bott, parse_pmatrix
 
 SIXDIM_BOTT_TEXT = """\
@@ -43,6 +46,28 @@ def sixdim_p() -> PMatrix:
 @pytest.fixture
 def klein_bottle() -> BottMatrix:
     return parse_bott(KLEIN_TEXT)
+
+
+@pytest.fixture
+def census_split(monkeypatch):
+    """census_split(k) makes every later run_census split its walk k ways:
+    k faked CPUs, and one matrix per worker at least.  The pool is real, so
+    k > 1 starts k processes; it returns the sizes of the pools built so far."""
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(census_mod, "MIN_SHARE_BITS", 0)
+
+    def split(k: int) -> list[int]:
+        monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(k)))
+        return sizes
+
+    return split
 
 
 def zero_bott(n: int) -> BottMatrix:

@@ -245,16 +245,13 @@ def test_criterion_09_frobenius_random_forms():
                   f"{failures} failures")
 
 
-def test_criterion_10_census_determinism():
+def test_criterion_10_census_determinism(census_split):
     rows = {}
     emitted = {}
     for workers in (1, 2, 8):
-        row, lines = run_census(
-            CensusConfig(n=4, emit_matrices=True, workers=workers)
-        )
-        rows[workers] = row
-        emitted[workers] = lines
-    deterministic = rows[1] == rows[2] == rows[8]
+        pools = census_split(workers)
+        rows[workers], emitted[workers] = run_census(CensusConfig(n=4, emit_matrices=True))
+    deterministic = rows[1] == rows[2] == rows[8] and pools == [2, 8]
     deterministic = deterministic and emitted[1] == emitted[2] == emitted[8]
     roundtrip = all(
         parse_bott(line) == matrix_at(4, idx) and parse_bott(line).to_line() == line

@@ -14,6 +14,7 @@ from realbott import (
     InconsistencyError,
     OracleDisagreementError,
     analyze,
+    bott_verdicts,
     enumerate_bott,
     matrix_at,
     parse_bott,
@@ -61,6 +62,39 @@ class TestEnumeration:
             list(enumerate_bott(0))
 
 
+def full_tally(n, start, stop):
+    """Kernel verdicts over a range of the full space: the orientable walk's twin."""
+    layout, table = census_mod._row_layout(n, False)
+    tally = Counter()
+    for index in range(start, stop):
+        tally[bott_verdicts(n, [table[(index >> shift) & mask] for shift, mask in layout])] += 1
+    return tally
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of each pool run_census builds.  The pool is a fake
+    that runs its jobs in process, so no process starts and patched
+    functions stay in force."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
 @pytest.fixture(scope="module")
 def full_walk_pool():
     """Two workers for the full-space twin: n = 7 has 2^21 matrices."""
@@ -88,11 +122,12 @@ class TestRunCensus:
         assert row.spin <= row.orientable <= row.total
         assert row.kahler_and_spin + row.kahler_not_spin == row.kahler
 
-    def test_worker_independence(self):
+    def test_worker_independence(self, census_split):
         rows = {}
         for workers in (1, 2, 8):
-            row, _ = run_census(CensusConfig(n=4, workers=workers))
-            rows[workers] = row
+            pools = census_split(workers)
+            rows[workers], _ = run_census(CensusConfig(n=4))
+        assert pools == [2, 8]
         assert rows[1] == rows[2] == rows[8]
 
     def test_emit_roundtrip(self):
@@ -121,7 +156,7 @@ class TestRunCensus:
             tally = Counter()
             emitted = []
             for start, stop in zip(bounds, bounds[1:]):
-                part, lines, offender = _classify_range(n, start, stop, False, True, False)
+                part, lines, offender = _classify_range(n, start, stop, False, True)
                 assert offender is None
                 tally.update(part)
                 emitted.extend(lines)
@@ -135,14 +170,18 @@ class TestRunCensus:
         assert results[1][1] == [matrix_at(4, i).to_line() for i in range(total)]
 
     def test_emit_guard_allows_n7(self, monkeypatch):
-        # the guard refuses n >= 8 (see test_cli); n = 7 still classifies
+        # the guard refuses n >= 8 (see test_cli); n = 7 still classifies,
+        # here on one CPU so that the stub runs in process
+        monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: {0})
         one = (Counter({(True, False, True): 1}), ["line"], None)
         monkeypatch.setattr(census_mod, "_classify_range", lambda *args: one)
         row, emitted = run_census(CensusConfig(n=7, emit_matrices=True))
         assert (row.total, row.spin, emitted) == (1, 1, ["line"])
 
     def test_plain_guard_allows_n9(self, monkeypatch):
-        # 2^28 orientable matrices of 2^36; the walk itself is stubbed
+        # 2^28 orientable matrices of 2^36; the walk itself is stubbed, and
+        # one CPU keeps it in process
+        monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: {0})
         calls = []
 
         def stub(*args):
@@ -151,7 +190,7 @@ class TestRunCensus:
 
         monkeypatch.setattr(census_mod, "_classify_range", stub)
         row, _ = run_census(CensusConfig(n=9))
-        assert calls == [(9, 0, 1 << 28, False, False, True)]
+        assert calls == [(9, 0, 1 << 28, False, False)]
         assert (row.total, row.orientable, row.spin) == (1 << 36, 1 << 28, 1 << 28)
 
     @pytest.mark.parametrize(
@@ -166,9 +205,12 @@ class TestRunCensus:
         with pytest.raises(ValueError, match="size guard"):
             run_census(cfg)
 
-    def test_emit_order_stable_across_workers(self):
+    def test_emit_order_stable_across_workers(self, census_split):
+        census_split(1)
         _, serial = run_census(CensusConfig(n=4, emit_matrices=True))
-        _, parallel = run_census(CensusConfig(n=4, emit_matrices=True, workers=4))
+        pools = census_split(4)
+        _, parallel = run_census(CensusConfig(n=4, emit_matrices=True))
+        assert pools == [4]
         assert serial == parallel
 
     def test_check_oracles_clean_small_n(self):
@@ -223,13 +265,10 @@ class TestRunCensus:
         # everything the orientable walk skips is non-orientable
         total = 1 << cell_count(n)
         bounds = [total * k // 4 for k in range(5)]
-        jobs = [(n, lo, hi, False, False, False) for lo, hi in zip(bounds, bounds[1:])]
-        full = Counter()
-        for part, lines, offender in full_walk_pool.map(_classify_range, *zip(*jobs)):
-            assert (lines, offender) == ([], None)
-            full.update(part)
+        jobs = [(n, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        full = sum(full_walk_pool.map(full_tally, *zip(*jobs)), Counter())
         walked = 1 << cell_count(n - 1)
-        part, _, offender = _classify_range(n, 0, walked, False, False, True)
+        part, _, offender = _classify_range(n, 0, walked, False, False)
         assert offender is None
         assert all(orientable for orientable, _, _ in part)
         assert Counter(part) + Counter({(False, False, False): total - walked}) == full
@@ -279,7 +318,7 @@ class TestRunCensus:
     def test_reference_rows(self, csv):
         # the README table; n = 7 was confirmed once by the polynomial route
         n = int(csv.split(",")[0])
-        row, _ = run_census(CensusConfig(n=n, workers=2))
+        row, _ = run_census(CensusConfig(n=n))
         assert row.to_csv() == csv
 
     def test_csv_row(self):
@@ -336,6 +375,25 @@ class TestDisagreementAbort:
         self.assert_aborts_at(CensusConfig(n=4), 30, "injected")
         # the full walk (here for --emit) names the same index
         self.assert_aborts_at(CensusConfig(n=4, emit_matrices=True), 30, "injected")
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_same_offender_at_every_split(self, monkeypatch, pool_sizes, cpus):
+        # one matrix per worker at least: eight chunks put the two offenders
+        # in different chunks, three put both in one
+        monkeypatch.setattr(census_mod, "MIN_SHARE_BITS", 0)
+        monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        bad_masks = {matrix_at(4, i).row_masks for i in self.bad_orientable}
+        real_kernel = census_mod.bott_verdicts
+
+        def sabotaged(n, rows):
+            if tuple(rows) in bad_masks:
+                raise InconsistencyError("injected disagreement")
+            return real_kernel(n, rows)
+
+        monkeypatch.setattr(census_mod, "bott_verdicts", sabotaged)
+        self.assert_aborts_at(CensusConfig(n=4), 30, "injected")
+        self.assert_aborts_at(CensusConfig(n=4, emit_matrices=True), 30, "injected")
+        assert pool_sizes == ([cpus, cpus] if cpus > 1 else [])
 
     def test_check_oracles_catches_wrong_kernel_verdict(self, monkeypatch):
         # a kernel that miscounts without raising passes the plain path;
@@ -413,52 +471,62 @@ class TestCrossCheck:
 
 
 class TestWorkerCap:
-    """run_census never asks for more workers than usable CPUs or matrices.
+    """run_census takes max(1, min(usable CPUs, walked >> MIN_SHARE_BITS))
+    workers, so never more than usable CPUs or shares of the walk.
 
-    The pool is faked, so no test here starts a process.
+    The pool is faked and runs its jobs in process, so no test here starts
+    a process.  Plain n = 7 and --emit n = 6 walk 2^15 matrices, room for
+    eight workers; plain n = 6 and --check-oracles n = 5 walk 2^10.
     """
-
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return list(map(fn, *iterables))
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        return sizes
 
     def test_cap_applies(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        row, _ = run_census(CensusConfig(n=4, workers=10_000))
+        row, _ = run_census(CensusConfig(n=7))
         assert pool_sizes == [3]
-        assert row == run_census(CensusConfig(n=4))[0]
-        run_census(CensusConfig(n=2, workers=10_000))  # 1 orientable matrix
-        assert pool_sizes == [3]
-        run_census(CensusConfig(n=2, workers=10_000, emit_matrices=True))  # 2 matrices
-        assert pool_sizes == [3, 2]
+        assert row.to_csv() == "7,2097152,32768,0,1482,0,0"
 
     def test_no_cap(self, monkeypatch, pool_sizes):
-        # without CPU affinity the clamp falls back to os.cpu_count()
+        # without CPU affinity the rule falls back to os.cpu_count(), and
+        # to one CPU when that is unknown
         monkeypatch.delattr(census_mod.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(census_mod.os, "cpu_count", lambda: 4)
-        run_census(CensusConfig(n=4, workers=2))
-        run_census(CensusConfig(n=4, workers=64))
+        run_census(CensusConfig(n=7))
+        monkeypatch.setattr(census_mod.os, "cpu_count", lambda: None)
+        run_census(CensusConfig(n=7))
+        assert pool_sizes == [4]
+
+    def test_one_cpu(self, monkeypatch, pool_sizes):
+        # a single usable CPU runs in process, however large the walk
+        monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: {0})
+        run_census(CensusConfig(n=7))
+        run_census(CensusConfig(n=6, emit_matrices=True))
+        assert pool_sizes == []
+
+    def test_walk_caps_many_cpus(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(64)))
+        run_census(CensusConfig(n=6))
+        run_census(CensusConfig(n=5, check_oracles=True))
+        assert pool_sizes == []
+        run_census(CensusConfig(n=7))
+        run_census(CensusConfig(n=6, emit_matrices=True))
+        assert pool_sizes == [8, 8]
+
+    def test_share_boundary(self, monkeypatch, pool_sizes):
+        # plain n = 6 walks 2^10: one share stays in process, two or four
+        # shares take as many workers
+        monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(64)))
+        for bits in (10, 9, 8):
+            monkeypatch.setattr(census_mod, "MIN_SHARE_BITS", bits)
+            assert run_census(CensusConfig(n=6))[0].to_csv() == "6,32768,1024,192,176,76,116"
         assert pool_sizes == [2, 4]
 
-    def test_bad_cap(self, monkeypatch, pool_sizes):
-        # a nonpositive request, or a single usable CPU, runs in-process
-        monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: {0})
-        run_census(CensusConfig(n=4, workers=8))
-        run_census(CensusConfig(n=4, workers=0))
-        assert pool_sizes == []
+    @pytest.mark.parametrize("cfg", [CensusConfig(n=6), CensusConfig(n=5, check_oracles=True)])
+    def test_small_walks_never_build_a_pool(self, monkeypatch, cfg):
+        # the benchmark times plain n = 6 in one process, whatever the CPUs
+        def no_pool(*args, **kwargs):
+            raise AssertionError("run_census built a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(64)))
+        row, _ = run_census(cfg)
+        assert row.total == 1 << cell_count(cfg.n)

@@ -1,9 +1,12 @@
 """Unit and property tests for the GF(2) polynomial layer."""
 
+import copy
 import functools
 import itertools
+import pickle
 import random
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -405,6 +408,37 @@ class TestF2Matrix:
             for combo in itertools.combinations(reduced.rows, size)
         )
         assert reduced.in_row_space(v) == brute
+
+
+class TestReadOnly:
+    """Both values are hashable, so no field may change once built, as on
+    BottMatrix; pickle and copy still rebuild them."""
+
+    values = [
+        (GradedPolyF2(2, [(0,), (0, 1)]), "terms", frozenset()),
+        (GradedPolyF2._make(2, frozenset({()})), "num_vars", 3),
+        (F2Matrix([1, 2], 2), "rows", (3,)),
+        (F2Matrix._make((1,), 1), "ncols", 5),
+    ]
+
+    @pytest.mark.parametrize("value, name, new", values)
+    def test_assignment_raises(self, value, name, new):
+        old, digest = getattr(value, name), hash(value)
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, new)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+        # nor may a new name appear; CPython 3.11 raises TypeError here, as its
+        # frozen __setattr__ names the class that slots=True replaced
+        with pytest.raises((AttributeError, TypeError)):
+            value.extra = 1
+        assert (getattr(value, name), hash(value)) == (old, digest)
+
+    @pytest.mark.parametrize("value, name, new", values)
+    def test_pickle_and_copy_rebuild(self, value, name, new):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(twin) is type(value)
+            assert (twin, hash(twin), repr(twin)) == (value, hash(value), repr(value))
 
 
 class TestDegree2Coordinates:
