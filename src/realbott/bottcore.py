@@ -598,7 +598,11 @@ def bott_verdicts(n: int, rows: Sequence[int]) -> tuple[bool, bool, bool]:
     Kahler input with an odd row.  Spin starts as the orientability
     verdict and is only ever cleared, so it never holds without it.
     """
-    orientable = not any(r.bit_count() & 1 for r in rows)
+    orientable = True
+    for r in rows:
+        if r.bit_count() & 1:
+            orientable = False
+            break
     kahler = False
     if not n & 1:
         cols = _transpose(rows, n)
@@ -608,8 +612,11 @@ def bott_verdicts(n: int, rows: Sequence[int]) -> tuple[bool, bool, bool]:
     if orientable:
         for l in range(1, n):
             t = rows[l] | ((rows[l].bit_count() & 2) << (l - 1))
-            if any((rows[i] & t).bit_count() & 1 for i in range(l)):
-                spin = False
+            for r in rows[:l]:
+                if (r & t).bit_count() & 1:
+                    spin = False
+                    break
+            if not spin:
                 break
     if kahler:
         if not orientable:

@@ -27,10 +27,11 @@ import os
 from collections import Counter
 from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
+from itertools import islice, product
 from typing import Iterator, Optional, Sequence
 
 from .bottcore import BottMatrix, InconsistencyError, analyze, bott_verdicts, mask_line
-from .euclid import check_against_rows, orientable_by_motions
+from .euclid import _check_motions, _orientable
 
 __all__ = [
     "CensusRow",
@@ -45,22 +46,29 @@ __all__ = [
 ]
 
 # Size guard: a walk enumerates at most 2^28 (268 million) matrices.  The
-# orientable walk of n = 8 (2^21 matrices) takes 8.4 s on one core of a
-# 2-vCPU host, so n = 9 (2^28 of its 2^36) should take at least 18 minutes
-# there, as the per-matrix cost grows with n; n = 10 (2^36) is refused.
+# orientable walk of n = 8 (2^21 matrices) takes 9.8-12.6 s on one core of
+# a 2-vCPU host, so n = 9 (2^28 of its 2^36) should take at least 21
+# minutes there, as the per-matrix cost grows with n; n = 10 (2^36) is
+# refused.
 # The full walk, and with it matrix_at, enumerate_bott, --emit and
 # --check-oracles, stops at n = 8 (28 free cells).
 MAX_WALK_BITS = 28
 # --emit holds every listed line in memory until the census ends: at
 # n = 8 that is 2^28 lines of 71 characters, about 34 GB.
 MAX_EMIT_N = 7
-# One worker per 2^MIN_SHARE_BITS matrices walked, at most one per usable
-# CPU; a single worker runs in process.  In process against a pool of two
-# (2 vCPUs, Python 3.11.7, best of 3): plain n = 6 (2^10 walked) 3.9 vs 5.5
-# ms, n = 7 (2^15) 71 vs 40 ms; --emit n = 6 (2^15) 163 vs 88 ms;
-# --check-oracles n = 4 (2^6) 3.5 vs 5.5 ms, n = 5 (2^10, so in process)
-# 66 vs 36 ms, n = 6 (2^15) 2.98 vs 1.48 s.
-MIN_SHARE_BITS = 12
+# One worker per share of the walk, at most one per usable CPU; a single
+# worker runs in process.  A share is 2^SHARE_BITS[kind] matrices, about
+# 5-20 ms of one core's work: a plain matrix costs 1.3-3.5 us, one listed
+# with --emit about 7-9 us, one cross-checked with --check-oracles 90-170
+# us.  In process against a pool of two (2 vCPUs, Python 3.11.7, best of
+# 9): plain n = 6 (2^10 walked) 6.9 vs 18 ms, n = 7 (2^15) 89 vs 55 ms;
+# --emit n = 5 (2^10) 7.3 vs 16 ms, n = 6 (2^15) 228 vs 182 ms;
+# --check-oracles n = 4 (2^6) 5.3 vs 12 ms, n = 5 (2^10) 89 vs 53 ms,
+# n = 6 (2^15, best of 3) 5.5 vs 3.0 s.
+SHARE_BITS = {"plain": 12, "emit": 11, "oracles": 7}
+# _classify_range decodes the rows above the low BLOCK_BITS index bits once
+# per block: 2^8 matrices per block walk as fast as one product over all rows.
+BLOCK_BITS = 8
 
 
 class OracleDisagreementError(RuntimeError):
@@ -104,7 +112,7 @@ class CensusConfig:
     (smallest index) aborts the run with a reproducer.  Either flag
     makes run_census walk the full space, else it walks the orientable
     space alone.  run_census picks its own worker count (see
-    MIN_SHARE_BITS), and refuses emit_matrices above n = MAX_EMIT_N.
+    SHARE_BITS), and refuses emit_matrices above n = MAX_EMIT_N.
     """
 
     n: int
@@ -189,10 +197,11 @@ def cross_check(a: BottMatrix, verdicts: tuple[bool, bool, bool]) -> list[str]:
     analyze (the P-matrix route, which compares the two Spin deciders
     on Kahler inputs) must give the same (orientable, kahler, spin), the
     generators' sign products must give the same orientability, and the
-    Euclidean-motion oracle must agree with the row calculus.  The oracle
-    runs first, so its size guard fires before any route; its findings come last.
+    Euclidean-motion oracle must agree with the row calculus.  The
+    generators are built once for both motion routes.  The oracle runs
+    first, so its size guard fires before any route; its findings come last.
     """
-    motion_problems = check_against_rows(a)
+    motion_problems, gens = _check_motions(a)
     try:
         report = analyze(a)
     except InconsistencyError as exc:
@@ -205,7 +214,7 @@ def cross_check(a: BottMatrix, verdicts: tuple[bool, bool, bool]) -> list[str]:
                 f"kernel and analyze disagree on {a.to_line()}: "
                 f"(orientable, kahler, spin) = {verdicts} against {slow}"
             )
-    by_motions = orientable_by_motions(a)
+    by_motions = _orientable(gens)
     if by_motions != verdicts[0]:
         problems.append(
             f"kernel and motions disagree on {a.to_line()}: "
@@ -233,22 +242,33 @@ def _classify_range(
     first offender of a range is the one with the smallest index.
     """
     layout, table = _row_layout(n, not (check_oracles or emit))
+    # The rows after row `split` fill the low bits <= BLOCK_BITS of the
+    # index, and product over their tables yields them in index order.
+    # Rows 0..split are decoded once per block of 2^bits indices, so
+    # reaching start costs one decode, not start steps.
+    split = next(i for i, (shift, _) in enumerate(layout) if shift <= BLOCK_BITS)
+    bits = layout[split][0]
+    head = [(shift - bits, mask) for shift, mask in layout[: split + 1]]
+    tails = [table[: mask + 1] for _, mask in layout[split + 1 :]]
     # a plain dict: a Counter's += here made the n = 6 census about 9% slower
     tally: dict[tuple[bool, bool, bool], int] = {}
     emitted: list[str] = []
-    for index in range(start, stop):
-        rows = [table[(index >> shift) & mask] for shift, mask in layout]
-        try:
-            verdicts = bott_verdicts(n, rows)
-        except InconsistencyError as exc:
-            return tally, emitted, (_index_of(n, rows), mask_line(n, rows), str(exc))
-        if check_oracles:  # the full walk: index is already the full-space one
-            problems = cross_check(BottMatrix._make(n, tuple(rows)), verdicts)
-            if problems:
-                return tally, emitted, (index, mask_line(n, rows), problems[0])
-        tally[verdicts] = tally.get(verdicts, 0) + 1
-        if emit:
-            emitted.append(mask_line(n, rows))
+    for block in range(start >> bits, (stop + (1 << bits) - 1) >> bits):
+        first = block << bits
+        lead = [(table[(block >> shift) & mask],) for shift, mask in head]
+        walk = islice(product(*lead, *tails), max(start - first, 0), stop - first)
+        for rows in walk:
+            try:
+                verdicts = bott_verdicts(n, rows)
+            except InconsistencyError as exc:
+                return tally, emitted, (_index_of(n, rows), mask_line(n, rows), str(exc))
+            if check_oracles:
+                problems = cross_check(BottMatrix._make(n, rows), verdicts)
+                if problems:
+                    return tally, emitted, (_index_of(n, rows), mask_line(n, rows), problems[0])
+            tally[verdicts] = tally.get(verdicts, 0) + 1
+            if emit:
+                emitted.append(mask_line(n, rows))
     return tally, emitted, None
 
 
@@ -271,7 +291,8 @@ def run_census(cfg: CensusConfig) -> tuple[CensusRow, list[str]]:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cpus = os.cpu_count() or 1
-    workers = max(1, min(cpus, walked >> MIN_SHARE_BITS))
+    kind = "oracles" if cfg.check_oracles else "emit" if cfg.emit_matrices else "plain"
+    workers = max(1, min(cpus, walked >> SHARE_BITS[kind]))
     bounds = [(walked * w) // workers for w in range(workers + 1)]
     modes = (cfg.check_oracles, cfg.emit_matrices)
     jobs = [(cfg.n, lo, hi, *modes) for lo, hi in zip(bounds, bounds[1:])]

@@ -133,7 +133,11 @@ def orientable_by_motions(a: BottMatrix) -> bool:
     The linear part of s_i has determinant (-1)^(weight of row i), and the
     group preserves orientation iff every generator does.
     """
-    return all(math.prod(s.signs) == 1 for s in generators(a))
+    return _orientable(generators(a))
+
+
+def _orientable(gens: tuple[EuclideanMotion, ...]) -> bool:
+    return all(math.prod(s.signs) == 1 for s in gens)
 
 
 def subset_columns(gens: tuple[EuclideanMotion, ...]) -> tuple[list[list[int]], list[list[int]]]:
@@ -185,13 +189,20 @@ def check_against_rows(a: BottMatrix) -> list[str]:
     subset order, holonomy before freeness (empty = all agree);
     n > MAX_MOTION_DIM is refused.
     """
+    return _check_motions(a)[0]
+
+
+def _check_motions(a: BottMatrix) -> tuple[list[str], tuple[EuclideanMotion, ...]]:
+    """(check_against_rows(a), the generators it built), so that a caller
+    with a second motion route need not build them again."""
     n = a.n
     if n > MAX_MOTION_DIM:
         raise ValueError(
             f"size guard exceeded: n={n} needs 2^{n} motions, limit is n={MAX_MOTION_DIM}"
         )
+    gens = generators(a)
     p = bott_to_p(a)
-    signs, trans2 = subset_columns(generators(a))
+    signs, trans2 = subset_columns(gens)
     predicted = []
     for alpha, beta in zip(*cocycles(p)):
         column = [1]
@@ -203,7 +214,7 @@ def check_against_rows(a: BottMatrix) -> list[str]:
     width = (1 << n) // len(chunks)
     rows = [lane == "1" for chunk in chunks for lane in reversed(f"{chunk:0{width}b}")]
     if signs == predicted and free == rows:
-        return []
+        return [], gens
     problems: list[str] = []
     for mask, (motion, cocycle) in enumerate(zip(zip(*signs), zip(*predicted))):
         if motion != cocycle:
@@ -216,4 +227,4 @@ def check_against_rows(a: BottMatrix) -> list[str]:
                 f"freeness mismatch on {a.to_line()} subset {mask:#x}: "
                 f"motion {free[mask]}, rows {rows[mask]}"
             )
-    return problems
+    return problems, gens

@@ -61,7 +61,7 @@ def census_split(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(census_mod, "MIN_SHARE_BITS", 0)
+    monkeypatch.setattr(census_mod, "SHARE_BITS", dict.fromkeys(census_mod.SHARE_BITS, 0))
 
     def split(k: int) -> list[int]:
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(k)))

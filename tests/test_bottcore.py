@@ -1,5 +1,6 @@
 """Tests for the Bott/P-matrix layer and the manifold deciders."""
 
+import inspect
 import itertools
 import multiprocessing
 import random
@@ -878,7 +879,8 @@ def slow_verdicts(a: BottMatrix) -> tuple[bool, bool, bool]:
 
 
 def kernel_matches_analyze(a: BottMatrix) -> bool:
-    return bott_verdicts(a.n, a.row_masks) == slow_verdicts(a)
+    # looked up on its module at call time, so a test can swap in a mutant
+    return bottcore_mod.bott_verdicts(a.n, a.row_masks) == slow_verdicts(a)
 
 
 def scans_match_constants(a: BottMatrix) -> bool:
@@ -929,6 +931,19 @@ class TestBottVerdicts:
 
     def test_matches_analyze_exhaustive_n_le_6(self, pool):
         assert exhaustive_failures(pool, kernel_matches_analyze) == []
+
+    def test_twin_catches_truncated_spin_loop(self, monkeypatch):
+        # a kernel whose Spin loop skips row l - 1 against T_l: the twin's
+        # check flags 18 matrices at n = 5 and none below, which is why the
+        # exhaustive twin runs up to n = 6
+        source = inspect.getsource(bottcore_mod.bott_verdicts)
+        assert source.count("rows[:l]") == 1
+        namespace = dict(vars(bottcore_mod))
+        exec(source.replace("rows[:l]", "rows[:l - 1]"), namespace)
+        monkeypatch.setattr(bottcore_mod, "bott_verdicts", namespace["bott_verdicts"])
+        jobs = [(kernel_matches_analyze, n, 0, 1 << (n * (n - 1) // 2)) for n in range(1, 6)]
+        caught = [len(failures(job)) for job in jobs]
+        assert caught == [0, 0, 0, 0, 18]
 
     @settings(max_examples=150, deadline=None)
     @given(bott_matrices())

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import multiprocessing
+import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
@@ -16,11 +17,13 @@ from realbott import (
     analyze,
     bott_verdicts,
     enumerate_bott,
+    generators,
     matrix_at,
     parse_bott,
     run_census,
 )
 import realbott.census as census_mod
+from realbott.bottcore import mask_line
 from realbott.census import _classify_range, cell_count
 
 
@@ -327,6 +330,82 @@ class TestRunCensus:
         assert row.to_csv() == "2,2,1,1,1,1,0"
 
 
+def decoded_rows(n, orientable_only, index):
+    """Row masks of one walk index, read field by field as matrix_at does."""
+    layout, table = census_mod._row_layout(n, orientable_only)
+    return tuple(table[(index >> shift) & mask] for shift, mask in layout)
+
+
+class TestRangeWalk:
+    """_classify_range reads its rows block by block from the row tables;
+    a range cut anywhere, even inside a row's field, must walk the same
+    matrices in the same order as the index decode."""
+
+    @staticmethod
+    def walk(n, bounds, check_oracles, emit):
+        """(tally, lines, first offender) of the ranges between bounds, merged."""
+        tally, lines, offenders = Counter(), [], []
+        for lo, hi in zip(bounds, bounds[1:]):
+            part, emitted, offender = _classify_range(n, lo, hi, check_oracles, emit)
+            tally.update(part)
+            lines += emitted
+            offenders += [offender] if offender else []
+        return tally, lines, min(offenders, default=None)
+
+    @pytest.mark.parametrize("kind", ["plain", "emit", "oracles"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cut_points_inside_fields(self, monkeypatch, n, kind):
+        # cuts at total * c // 7 fall inside row fields; the oracle walk's
+        # cross_check is a stub that flags planted matrices, so only the
+        # walk is under test, and the kernel sees every matrix once
+        check_oracles, emit = kind == "oracles", kind == "emit"
+        orientable_only = kind == "plain"
+        total = 1 << cell_count(n - 1 if orientable_only else n)
+        cuts = [total * c // 7 for c in range(8)]
+        seen = []
+        planted = set()
+        real_kernel = census_mod.bott_verdicts
+
+        def spy(n, rows):
+            seen.append(rows)
+            if rows in planted and not check_oracles:
+                raise InconsistencyError("planted")
+            return real_kernel(n, rows)
+
+        def stub(a, verdicts):
+            return ["planted"] if a.row_masks in planted else []
+
+        monkeypatch.setattr(census_mod, "bott_verdicts", spy)
+        monkeypatch.setattr(census_mod, "cross_check", stub)
+        whole = self.walk(n, [0, total], check_oracles, emit)
+        decoded = [decoded_rows(n, orientable_only, i) for i in range(total)]
+        assert seen == decoded
+        seen.clear()
+        assert self.walk(n, cuts, check_oracles, emit) == whole
+        assert seen == decoded
+        assert whole[2] is None and sum(whole[0].values()) == total
+        assert whole[1] == ([mask_line(n, rows) for rows in decoded] if emit else [])
+        # two planted offenders in different pieces, then one just past a cut
+        for picks in ({total - 1, total // 2}, {min(total * 3 // 7 + 1, total - 1)}):
+            planted = {decoded_rows(n, orientable_only, i) for i in picks}
+            first = min(picks)
+            offender = self.walk(n, [0, total], check_oracles, emit)[2]
+            full_index = census_mod._index_of(n, decoded_rows(n, orientable_only, first))
+            assert offender == (full_index, matrix_at(n, full_index).to_line(), "planted")
+            assert self.walk(n, cuts, check_oracles, emit)[2] == offender
+
+    def test_start_near_the_end_of_n9(self):
+        # the last four of the 2^28 orientable n = 9 matrices: the walk
+        # decodes the rows above its block once instead of stepping from
+        # index 0, which would take seconds
+        start, stop = 2**28 - 4, 2**28
+        expected = Counter(bott_verdicts(9, decoded_rows(9, True, i)) for i in range(start, stop))
+        began = time.perf_counter()
+        tally, lines, offender = _classify_range(9, start, stop, False, False)
+        assert time.perf_counter() - began < 0.5
+        assert (Counter(tally), lines, offender) == (expected, [], None)
+
+
 class TestDisagreementAbort:
     """A sabotaged route must abort the census at the smallest offending
     index, with its serialized reproducer.
@@ -380,7 +459,7 @@ class TestDisagreementAbort:
     def test_same_offender_at_every_split(self, monkeypatch, pool_sizes, cpus):
         # one matrix per worker at least: eight chunks put the two offenders
         # in different chunks, three put both in one
-        monkeypatch.setattr(census_mod, "MIN_SHARE_BITS", 0)
+        monkeypatch.setattr(census_mod, "SHARE_BITS", dict.fromkeys(census_mod.SHARE_BITS, 0))
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         bad_masks = {matrix_at(4, i).row_masks for i in self.bad_orientable}
         real_kernel = census_mod.bott_verdicts
@@ -414,13 +493,13 @@ class TestDisagreementAbort:
 
     def test_check_oracles_runs_orientability_route(self, monkeypatch):
         # the generators' sign products are a second route to orientability
-        bad_lines = {matrix_at(3, i).to_line() for i in self.bad}
-        real_route = census_mod.orientable_by_motions
+        bad_gens = {generators(matrix_at(3, i)) for i in self.bad}
+        real_route = census_mod._orientable
 
-        def flipped(a):
-            return real_route(a) ^ (a.to_line() in bad_lines)
+        def flipped(gens):
+            return real_route(gens) ^ (gens in bad_gens)
 
-        monkeypatch.setattr(census_mod, "orientable_by_motions", flipped)
+        monkeypatch.setattr(census_mod, "_orientable", flipped)
         assert run_census(CensusConfig(n=3))[0].total == 8
         self.assert_aborts_at(
             CensusConfig(n=3, check_oracles=True), 2, "kernel and motions disagree"
@@ -462,7 +541,7 @@ class TestCrossCheck:
         ]
 
     def test_oracle_finding_comes_last(self, sixdim_bott, monkeypatch):
-        monkeypatch.setattr(census_mod, "check_against_rows", lambda a: ["oracle finding"])
+        monkeypatch.setattr(census_mod, "_check_motions", lambda a: (["oracle finding"], generators(a)))
         assert census_mod.cross_check(sixdim_bott, self.wrong) == [
             self.analyze_msg,
             self.motions_msg,
@@ -471,12 +550,15 @@ class TestCrossCheck:
 
 
 class TestWorkerCap:
-    """run_census takes max(1, min(usable CPUs, walked >> MIN_SHARE_BITS))
+    """run_census takes max(1, min(usable CPUs, walked >> SHARE_BITS[kind]))
     workers, so never more than usable CPUs or shares of the walk.
 
     The pool is faked and runs its jobs in process, so no test here starts
-    a process.  Plain n = 7 and --emit n = 6 walk 2^15 matrices, room for
-    eight workers; plain n = 6 and --check-oracles n = 5 walk 2^10.
+    a process.  Shares are 2^12 matrices on the plain walk, 2^11 with
+    --emit and 2^7 with --check-oracles: plain n = 7 (2^15 walked) has
+    room for 8 workers, --emit n = 6 (2^15) for 16, --check-oracles n = 5
+    (2^10) for 8, while plain n = 6 (2^10) and --check-oracles n = 4 (2^6)
+    stay in process.
     """
 
     def test_cap_applies(self, monkeypatch, pool_sizes):
@@ -505,24 +587,27 @@ class TestWorkerCap:
     def test_walk_caps_many_cpus(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(64)))
         run_census(CensusConfig(n=6))
-        run_census(CensusConfig(n=5, check_oracles=True))
+        run_census(CensusConfig(n=4, check_oracles=True))
         assert pool_sizes == []
         run_census(CensusConfig(n=7))
         run_census(CensusConfig(n=6, emit_matrices=True))
-        assert pool_sizes == [8, 8]
+        # an oracle matrix costs some twenty plain ones: 2^10 of them split
+        assert run_census(CensusConfig(n=5, check_oracles=True))[0].total == 1024
+        assert pool_sizes == [8, 16, 8]
 
     def test_share_boundary(self, monkeypatch, pool_sizes):
         # plain n = 6 walks 2^10: one share stays in process, two or four
         # shares take as many workers
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(64)))
         for bits in (10, 9, 8):
-            monkeypatch.setattr(census_mod, "MIN_SHARE_BITS", bits)
+            monkeypatch.setitem(census_mod.SHARE_BITS, "plain", bits)
             assert run_census(CensusConfig(n=6))[0].to_csv() == "6,32768,1024,192,176,76,116"
         assert pool_sizes == [2, 4]
 
-    @pytest.mark.parametrize("cfg", [CensusConfig(n=6), CensusConfig(n=5, check_oracles=True)])
+    @pytest.mark.parametrize("cfg", [CensusConfig(n=6), CensusConfig(n=4, check_oracles=True)])
     def test_small_walks_never_build_a_pool(self, monkeypatch, cfg):
-        # the benchmark times plain n = 6 in one process, whatever the CPUs
+        # the benchmark times plain n = 6 in one process, whatever the CPUs;
+        # n = 4 is the largest oracle walk kept in process
         def no_pool(*args, **kwargs):
             raise AssertionError("run_census built a process pool")
 

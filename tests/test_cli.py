@@ -499,7 +499,7 @@ class TestVerify:
     def test_single_file_sabotaged_orientability_route(
         self, capsys, sixdim_bott_file, monkeypatch
     ):
-        monkeypatch.setattr(census_mod, "orientable_by_motions", lambda a: False)
+        monkeypatch.setattr(census_mod, "_orientable", lambda gens: False)
         code, out, _ = run(capsys, "verify", sixdim_bott_file)
         assert code == 1
         assert out.strip().splitlines() == [
@@ -523,13 +523,15 @@ class TestVerify:
         assert err.count("\n") == 1 and err.startswith("error: size guard exceeded")
 
     def test_single_file_size_guard_before_any_route(self, capsys, tmp_path, monkeypatch):
-        # the oracle's guard fires before analyze and the orientability
-        # route, so a large matrix costs nothing beyond its parse and the kernel
-        def never(a):
+        # the oracle's guard fires before the generators are built and before
+        # analyze and the orientability route, so a large matrix costs
+        # nothing beyond its parse and the kernel
+        def never(arg):
             raise AssertionError("a route ran before the size guard")
 
+        monkeypatch.setattr(euclid_mod, "generators", never)
         monkeypatch.setattr(census_mod, "analyze", never)
-        monkeypatch.setattr(census_mod, "orientable_by_motions", never)
+        monkeypatch.setattr(census_mod, "_orientable", never)
         path = tmp_path / "zero21.txt"
         path.write_text("\n".join(["0" * 21] * 21) + "\n")
         code, out, err = run(capsys, "verify", str(path))
