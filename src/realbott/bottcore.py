@@ -591,9 +591,15 @@ def bott_verdicts(n: int, rows: Sequence[int]) -> tuple[bool, bool, bool]:
       that is |R_i & T_l| is even for T_l = R_l plus column l when
       r_l = 2 mod 4 (R_l has no column l itself).
 
-    Kahler (Ishida): n is even and every column mask occurs an even
-    number of times.  On Kahler inputs the closed form of
-    spin_kahler_closed_form is evaluated too, and InconsistencyError is
+    Kahler (Ishida): n is even and every class of equal columns has even
+    size.  Refining {all n columns} by each nonzero row R_i, which splits
+    a class c into c & R_i and the rest, ends at those classes.  An odd
+    class always splits off an odd part and so never heals: the test
+    stops at the first odd c & R_i.  is_kahler, which groups the
+    transposed columns in a dict, is the independent twin.  On Kahler
+    inputs the closed form of spin_kahler_closed_form is evaluated too
+    (every other member of a class, in index order, starts a pair; the
+    zero columns are the class of column 0), and InconsistencyError is
     raised when it differs from the membership verdict, as it is on a
     Kahler input with an odd row.  Spin starts as the orientability
     verdict and is only ever cleared, so it never holds without it.
@@ -603,15 +609,31 @@ def bott_verdicts(n: int, rows: Sequence[int]) -> tuple[bool, bool, bool]:
         if r.bit_count() & 1:
             orientable = False
             break
-    kahler = False
-    if not n & 1:
-        cols = _transpose(rows, n)
-        ordered = sorted(cols)
-        kahler = ordered[::2] == ordered[1::2]
+    kahler = not n & 1
+    if kahler:
+        classes = [(1 << n) - 1]  # rest first: column 0, in no R_i, stays in classes[0]
+        for r in rows:
+            if not r:
+                continue
+            split = []
+            for c in classes:
+                part = c & r
+                if part.bit_count() & 1:
+                    kahler = False
+                    break
+                if part != c:
+                    split.append(c ^ part)
+                if part:
+                    split.append(part)
+            if not kahler:
+                break
+            classes = split
     spin = orientable
     if orientable:
         for l in range(1, n):
             t = rows[l] | ((rows[l].bit_count() & 2) << (l - 1))
+            if not t:
+                continue
             for r in rows[:l]:
                 if (r & t).bit_count() & 1:
                     spin = False
@@ -623,11 +645,14 @@ def bott_verdicts(n: int, rows: Sequence[int]) -> tuple[bool, bool, bool]:
             raise InconsistencyError(
                 f"Kahler columns on the non-orientable matrix {mask_line(n, rows)}"
             )
-        # one representative per pair: a stable sort lists each class of
-        # equal columns in index order, so every other index starts a pair
-        reps = sum(1 << j for j in sorted(range(n), key=cols.__getitem__)[::2])
+        reps = 0
+        for c in classes:
+            while c:  # every other member, in index order, starts a pair
+                reps |= c & -c
+                c &= c - 1
+                c &= c - 1
         spin_cf = all(
-            not (r & reps).bit_count() & 1 or not cols[i] for i, r in enumerate(rows)
+            not (r & reps).bit_count() & 1 or classes[0] >> i & 1 for i, r in enumerate(rows)
         )
         if spin_cf != spin:
             raise InconsistencyError(

@@ -46,10 +46,10 @@ __all__ = [
 ]
 
 # Size guard: a walk enumerates at most 2^28 (268 million) matrices.  The
-# orientable walk of n = 8 (2^21 matrices) takes 9.8-12.6 s on one core of
-# a 2-vCPU host, so n = 9 (2^28 of its 2^36) should take at least 21
-# minutes there, as the per-matrix cost grows with n; n = 10 (2^36) is
-# refused.
+# orientable walk of n = 8 (2^21 matrices) takes 4.2-5.0 s on one core of
+# a 2-vCPU host (2.5-2.8 s on both), so n = 9 (2^28 of its 2^36) should
+# take at least 9 minutes on one core there, as the per-matrix cost grows
+# with n; n = 10 (2^36) is refused.
 # The full walk, and with it matrix_at, enumerate_bott, --emit and
 # --check-oracles, stops at n = 8 (28 free cells).
 MAX_WALK_BITS = 28
@@ -57,15 +57,16 @@ MAX_WALK_BITS = 28
 # n = 8 that is 2^28 lines of 71 characters, about 34 GB.
 MAX_EMIT_N = 7
 # One worker per share of the walk, at most one per usable CPU; a single
-# worker runs in process.  A share is 2^SHARE_BITS[kind] matrices, about
-# 5-20 ms of one core's work: a plain matrix costs 1.3-3.5 us, one listed
-# with --emit about 7-9 us, one cross-checked with --check-oracles 90-170
-# us.  In process against a pool of two (2 vCPUs, Python 3.11.7, best of
-# 9): plain n = 6 (2^10 walked) 6.9 vs 18 ms, n = 7 (2^15) 89 vs 55 ms;
-# --emit n = 5 (2^10) 7.3 vs 16 ms, n = 6 (2^15) 228 vs 182 ms;
-# --check-oracles n = 4 (2^6) 5.3 vs 12 ms, n = 5 (2^10) 89 vs 53 ms,
+# worker runs in process.  A share is 2^SHARE_BITS[kind] matrices, enough
+# work to pay for starting a worker: a plain matrix costs 1.2-1.9 us, one
+# listed with --emit about 4 us, one cross-checked with --check-oracles
+# 75-170 us.  In process against a pool of two (2 vCPUs, Python 3.11.7):
+# plain n = 7 (2^15 walked) 38-41 vs 46-57 ms, best of 5 in each of ten
+# pairs of fresh processes; best of 9, before the kernel's Kahler
+# refinement: --emit n = 5 (2^10) 7.3 vs 16 ms, n = 6 (2^15) 228 vs 182
+# ms; --check-oracles n = 4 (2^6) 5.3 vs 12 ms, n = 5 (2^10) 89 vs 53 ms,
 # n = 6 (2^15, best of 3) 5.5 vs 3.0 s.
-SHARE_BITS = {"plain": 12, "emit": 11, "oracles": 7}
+SHARE_BITS = {"plain": 15, "emit": 11, "oracles": 7}
 # _classify_range decodes the rows above the low BLOCK_BITS index bits once
 # per block: 2^8 matrices per block walk as fast as one product over all rows.
 BLOCK_BITS = 8

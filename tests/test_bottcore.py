@@ -883,6 +883,27 @@ def kernel_matches_analyze(a: BottMatrix) -> bool:
     return bottcore_mod.bott_verdicts(a.n, a.row_masks) == slow_verdicts(a)
 
 
+def kernel_agrees(a: BottMatrix) -> bool:
+    """kernel_matches_analyze, with a raised InconsistencyError as a failure."""
+    try:
+        return kernel_matches_analyze(a)
+    except InconsistencyError:
+        return False
+
+
+@st.composite
+def near_kahler(draw):
+    """A planted Kahler matrix with n <= 14 and one entry above the
+    diagonal flipped.  Column j leaves its class of equal columns and
+    joins another or none, so both classes it touches become odd."""
+    a = draw(planted_kahler(max_n=14))
+    j = draw(st.integers(1, a.n - 1))
+    i = draw(st.integers(0, j - 1))
+    rows = [list(row) for row in a.rows]
+    rows[i][j] ^= 1
+    return BottMatrix(tuple(map(tuple, rows)))
+
+
 def scans_match_constants(a: BottMatrix) -> bool:
     p = bott_to_p(a)
     return is_free(p) and not has_full_holonomy(p)
@@ -945,6 +966,36 @@ class TestBottVerdicts:
         caught = [len(failures(job)) for job in jobs]
         assert caught == [0, 0, 0, 0, 18]
 
+    @pytest.mark.parametrize(
+        "original, mutant, caught",
+        [
+            # a class that meets R_i keeps only its part inside R_i
+            (
+                "if part != c:\n                    split.append(c ^ part)\n"
+                "                if part:\n                    split.append(part)",
+                "split.append(part or c)",
+                [0, 0, 0, 9, 0, 2192],
+            ),
+            # the parity test reads the class of column 0 alone
+            (
+                "if part.bit_count() & 1:",
+                "if part.bit_count() & 1 and c == classes[0]:",
+                [0, 0, 0, 11, 0, 4905],
+            ),
+        ],
+        ids=["drops_complement", "first_class_parity"],
+    )
+    def test_twin_catches_refinement_mutants(self, monkeypatch, original, mutant, caught):
+        # the exhaustive twin, counting a raised InconsistencyError as
+        # caught, flags both mutants of the Kahler refinement from n = 4 on
+        source = inspect.getsource(bottcore_mod.bott_verdicts)
+        assert source.count(original) == 1
+        namespace = dict(vars(bottcore_mod))
+        exec(source.replace(original, mutant), namespace)
+        monkeypatch.setattr(bottcore_mod, "bott_verdicts", namespace["bott_verdicts"])
+        jobs = [(kernel_agrees, n, 0, 1 << (n * (n - 1) // 2)) for n in range(1, 7)]
+        assert [len(failures(job)) for job in jobs] == caught
+
     @settings(max_examples=150, deadline=None)
     @given(bott_matrices())
     def test_matches_analyze_random(self, a):
@@ -954,6 +1005,14 @@ class TestBottVerdicts:
     @given(planted_kahler())
     def test_matches_analyze_planted_kahler(self, a):
         assert bott_verdicts(a.n, a.row_masks)[1]
+        assert kernel_matches_analyze(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(near_kahler())
+    def test_matches_analyze_near_kahler(self, a):
+        # an odd class must never heal, at sizes past the exhaustive twin
+        assert not bott_verdicts(a.n, a.row_masks)[1]
+        assert analyze(a).kahler is None
         assert kernel_matches_analyze(a)
 
 

@@ -554,27 +554,26 @@ class TestWorkerCap:
     workers, so never more than usable CPUs or shares of the walk.
 
     The pool is faked and runs its jobs in process, so no test here starts
-    a process.  Shares are 2^12 matrices on the plain walk, 2^11 with
-    --emit and 2^7 with --check-oracles: plain n = 7 (2^15 walked) has
-    room for 8 workers, --emit n = 6 (2^15) for 16, --check-oracles n = 5
-    (2^10) for 8, while plain n = 6 (2^10) and --check-oracles n = 4 (2^6)
-    stay in process.
+    a process.  Shares are 2^15 matrices on the plain walk, 2^11 with
+    --emit and 2^7 with --check-oracles: --emit n = 6 (2^15 walked) has
+    room for 16 workers and --check-oracles n = 5 (2^10) for 8, while
+    plain n = 7 (2^15) and --check-oracles n = 4 (2^6) stay in process.
     """
 
     def test_cap_applies(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        row, _ = run_census(CensusConfig(n=7))
+        row, _ = run_census(CensusConfig(n=6, emit_matrices=True))
         assert pool_sizes == [3]
-        assert row.to_csv() == "7,2097152,32768,0,1482,0,0"
+        assert row.to_csv() == "6,32768,1024,192,176,76,116"
 
     def test_no_cap(self, monkeypatch, pool_sizes):
         # without CPU affinity the rule falls back to os.cpu_count(), and
         # to one CPU when that is unknown
         monkeypatch.delattr(census_mod.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(census_mod.os, "cpu_count", lambda: 4)
-        run_census(CensusConfig(n=7))
+        run_census(CensusConfig(n=6, emit_matrices=True))
         monkeypatch.setattr(census_mod.os, "cpu_count", lambda: None)
-        run_census(CensusConfig(n=7))
+        run_census(CensusConfig(n=6, emit_matrices=True))
         assert pool_sizes == [4]
 
     def test_one_cpu(self, monkeypatch, pool_sizes):
@@ -587,13 +586,13 @@ class TestWorkerCap:
     def test_walk_caps_many_cpus(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(64)))
         run_census(CensusConfig(n=6))
+        run_census(CensusConfig(n=7))
         run_census(CensusConfig(n=4, check_oracles=True))
         assert pool_sizes == []
-        run_census(CensusConfig(n=7))
         run_census(CensusConfig(n=6, emit_matrices=True))
-        # an oracle matrix costs some twenty plain ones: 2^10 of them split
+        # an oracle matrix costs some fifty plain ones: 2^10 of them split
         assert run_census(CensusConfig(n=5, check_oracles=True))[0].total == 1024
-        assert pool_sizes == [8, 16, 8]
+        assert pool_sizes == [16, 8]
 
     def test_share_boundary(self, monkeypatch, pool_sizes):
         # plain n = 6 walks 2^10: one share stays in process, two or four
