@@ -11,9 +11,13 @@ to the total.  The plain census therefore walks the orientable space
 alone: row i <= n-2 contributes its first n-2-i cells as free bits, and
 its cell in column n-1 is the parity of those bits.  That space has
 2^(m-(n-1)) matrices, and the other 2^m - 2^(m-(n-1)) are counted as
-non-orientable without being decoded.  Listing (emit) and the oracle
-cross-checks must see every matrix, so they walk the full space, which
-is also the twin the tests compare the orientable walk against.
+non-orientable without being decoded.  Within it the walk goes depth
+first, one row at a time, and counts a subtree as orientable, neither
+Kahler nor Spin without decoding it once its leading rows rule out both
+(see _plain_walk); only the orientable matrices that are Kahler or Spin
+reach the kernel.  Listing (emit) and the oracle cross-checks must see
+every matrix, so they walk the full space, which is also the twin the
+tests compare the plain walk against.
 
 Classification is embarrassingly parallel in either space: the index
 range splits into contiguous chunks, each chunk is classified on its
@@ -45,11 +49,10 @@ __all__ = [
     "run_census",
 ]
 
-# Size guard: a walk enumerates at most 2^28 (268 million) matrices.  The
-# orientable walk of n = 8 (2^21 matrices) takes 4.2-5.0 s on one core of
-# a 2-vCPU host (2.5-2.8 s on both), so n = 9 (2^28 of its 2^36) should
-# take at least 9 minutes on one core there, as the per-matrix cost grows
-# with n; n = 10 (2^36) is refused.
+# Size guard: a walk indexes at most 2^28 (268 million) matrices.  The
+# plain walk skips what its leading rows rule out, so n = 9 (2^28
+# orientable matrices of 2^36) takes a few seconds on one core of a
+# 2-vCPU host; n = 10 (2^36) is refused.
 # The full walk, and with it matrix_at, enumerate_bott, --emit and
 # --check-oracles, stops at n = 8 (28 free cells).
 MAX_WALK_BITS = 28
@@ -58,17 +61,23 @@ MAX_WALK_BITS = 28
 MAX_EMIT_N = 7
 # One worker per share of the walk, at most one per usable CPU; a single
 # worker runs in process.  A share is 2^SHARE_BITS[kind] matrices, enough
-# work to pay for starting a worker: a plain matrix costs 1.2-1.9 us, one
-# listed with --emit about 4 us, one cross-checked with --check-oracles
-# 75-170 us.  In process against a pool of two (2 vCPUs, Python 3.11.7):
-# plain n = 7 (2^15 walked) 38-41 vs 46-57 ms, best of 5 in each of ten
-# pairs of fresh processes; best of 9, before the kernel's Kahler
-# refinement: --emit n = 5 (2^10) 7.3 vs 16 ms, n = 6 (2^15) 228 vs 182
-# ms; --check-oracles n = 4 (2^6) 5.3 vs 12 ms, n = 5 (2^10) 89 vs 53 ms,
-# n = 6 (2^15, best of 3) 5.5 vs 3.0 s.
-SHARE_BITS = {"plain": 15, "emit": 11, "oracles": 7}
-# _classify_range decodes the rows above the low BLOCK_BITS index bits once
-# per block: 2^8 matrices per block walk as fast as one product over all rows.
+# work to pay for starting a worker: the plain walk costs about 0.15 us
+# per walked matrix at n = 8 (unevenly: it skips more of some subtrees
+# than of others), one matrix listed with --emit about 4 us, one
+# cross-checked with --check-oracles 75-170 us.  A pool of two costs
+# 30-45 ms more than the walk in process: plain n = 7 (2^15 walked)
+# took 7-13 ms in process against 35-57 ms on two workers, while n = 8
+# (2^21) took 0.33-0.43 s against 0.21-0.36 s and n = 9 (2^28) 2.7-3.1 s
+# against 1.5-2.2 s, six alternating pairs of fresh processes each (2
+# vCPUs, Python 3.11.7); 2^18 plain matrices are about 40 ms at n = 8.
+# Best of 9, before the kernel's Kahler refinement: --emit n = 5 (2^10)
+# 7.3 vs 16 ms, n = 6 (2^15) 228 vs 182 ms; --check-oracles n = 4 (2^6)
+# 5.3 vs 12 ms, n = 5 (2^10) 89 vs 53 ms, n = 6 (2^15, best of 3) 5.5 vs
+# 3.0 s.
+SHARE_BITS = {"plain": 18, "emit": 11, "oracles": 7}
+# The full walk in _classify_range decodes the rows above the low BLOCK_BITS
+# index bits once per block: 2^8 matrices per block walk as fast as one
+# product over all rows.
 BLOCK_BITS = 8
 
 
@@ -224,6 +233,77 @@ def cross_check(a: BottMatrix, verdicts: tuple[bool, bool, bool]) -> list[str]:
     return problems + motion_problems
 
 
+def _plain_walk(
+    n: int, start: int, stop: int
+) -> tuple[dict[tuple[bool, bool, bool], int], list[str], Optional[tuple[int, str, str]]]:
+    """_classify_range on the orientable space, which lists nothing.
+
+    A depth-first walk over the orientable row tables, in index order,
+    that carries the state of the rows chosen so far: bott_verdicts'
+    Kahler refinement (None once a part is odd) and whether every Spin
+    pair (i, l) with both rows chosen is even.  Neither verdict comes
+    back as rows are added: an odd part never heals, and a pair depends
+    on rows i and l alone (see bott_verdicts).  So once both fail, the
+    subtree's index interval, clipped to [start, stop), counts as
+    orientable, neither Kahler nor Spin, and every other matrix, exactly
+    the orientable ones that are Kahler or Spin, goes to bott_verdicts.
+    Rows n-2 and n-1 of an orientable matrix are zero and add nothing.
+    """
+    layout, table = _row_layout(n, True)
+    levels = [
+        # (shift, (row mask, T_i) per field value), T_i as in bott_verdicts
+        (shift, [(r, r | ((r.bit_count() & 2) << i >> 1)) for r in table[: mask + 1]])
+        for i, (shift, mask) in enumerate(layout[: max(1, n - 2)])
+    ]
+    rows = [0] * n
+    tally: dict[tuple[bool, bool, bool], int] = {}
+    ruled_out = 0
+
+    def descend(i: int, base: int, classes: Optional[list[int]], spin: bool) -> None:
+        nonlocal ruled_out
+        shift, cells = levels[i]
+        size = 1 << shift
+        lo = max(0, (start - base) >> shift)
+        first = base + (lo << shift)
+        for r, t in cells[lo : (stop - base + size - 1) >> shift]:
+            refined = classes
+            if classes is not None and r:
+                refined = []
+                for c in classes:
+                    part = c & r
+                    if part.bit_count() & 1:
+                        refined = None
+                        break
+                    if part != c:
+                        refined.append(c ^ part)
+                    if part:
+                        refined.append(part)
+            even = spin
+            if spin and t:
+                for q in rows[:i]:
+                    if (q & t).bit_count() & 1:
+                        even = False
+                        break
+            if refined is None and not even:
+                ruled_out += min(stop, first + size) - max(start, first)
+            else:
+                rows[i] = r
+                if i + 1 < len(levels):
+                    descend(i + 1, first, refined, even)
+                else:
+                    verdicts = bott_verdicts(n, tuple(rows))
+                    tally[verdicts] = tally.get(verdicts, 0) + 1
+            first += size
+
+    try:
+        descend(0, 0, None if n & 1 else [(1 << n) - 1], True)
+    except InconsistencyError as exc:
+        return tally, [], (_index_of(n, rows), mask_line(n, rows), str(exc))
+    if ruled_out:
+        tally[(True, False, False)] = tally.get((True, False, False), 0) + ruled_out
+    return tally, [], None
+
+
 def _classify_range(
     n: int,
     start: int,
@@ -234,15 +314,17 @@ def _classify_range(
     """Classify one contiguous index range with bott_verdicts.
 
     The range indexes the full space with check_oracles or emit, else the
-    orientable space.  With check_oracles, every matrix also goes through
-    cross_check.
+    orientable space, which _plain_walk walks.  With check_oracles, every
+    matrix also goes through cross_check.
     Returns (tally of (orientable, kahler, spin) verdicts, emitted lines,
     first offender or None); on an offender the range stops early.  The
     offender carries its full-space index in either space, so matrix_at
     reproduces it; the orientable-to-full index map is increasing, so the
     first offender of a range is the one with the smallest index.
     """
-    layout, table = _row_layout(n, not (check_oracles or emit))
+    if not (check_oracles or emit):
+        return _plain_walk(n, start, stop)
+    layout, table = _row_layout(n, False)
     # The rows after row `split` fill the low bits <= BLOCK_BITS of the
     # index, and product over their tables yields them in index order.
     # Rows 0..split are decoded once per block of 2^bits indices, so
@@ -278,7 +360,8 @@ def run_census(cfg: CensusConfig) -> tuple[CensusRow, list[str]]:
 
     Without emit_matrices and check_oracles only the orientable space is
     walked, and every other matrix counts as non-orientable (neither
-    Kahler nor Spin).  Chunk boundaries never change the counts: chunks
+    Kahler nor Spin); within it, _plain_walk decodes only the Kahler or
+    Spin matrices.  Chunk boundaries never change the counts: chunks
     are contiguous index ranges and results combine by addition, in index
     order for the emitted listing.  To use fewer CPUs, limit the process's
     CPU set (for example with taskset), which the worker count follows.

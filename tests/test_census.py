@@ -1,10 +1,12 @@
 """Tests for the exhaustive census layer."""
 
 import concurrent.futures
+import inspect
 import multiprocessing
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 
 import pytest
 
@@ -72,6 +74,19 @@ def full_tally(n, start, stop):
     for index in range(start, stop):
         tally[bott_verdicts(n, [table[(index >> shift) & mask] for shift, mask in layout])] += 1
     return tally
+
+
+def plain_walk_matches(n, full):
+    """Whether the plain walk, with every matrix it skips as non-orientable,
+    tallies the kernel's verdicts as the full walk does (full)."""
+    walked = 1 << cell_count(n - 1)
+    part, _, offender = _classify_range(n, 0, walked, False, False)
+    skipped = Counter({(False, False, False): (1 << cell_count(n)) - walked})
+    return (
+        offender is None
+        and all(orientable for orientable, _, _ in part)
+        and Counter(part) + skipped == full
+    )
 
 
 @pytest.fixture
@@ -269,16 +284,12 @@ class TestRunCensus:
         total = 1 << cell_count(n)
         bounds = [total * k // 4 for k in range(5)]
         jobs = [(n, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        full = sum(full_walk_pool.map(full_tally, *zip(*jobs)), Counter())
-        walked = 1 << cell_count(n - 1)
-        part, _, offender = _classify_range(n, 0, walked, False, False)
-        assert offender is None
-        assert all(orientable for orientable, _, _ in part)
-        assert Counter(part) + Counter({(False, False, False): total - walked}) == full
+        assert plain_walk_matches(n, sum(full_walk_pool.map(full_tally, *zip(*jobs)), Counter()))
 
     def test_plain_walk_skips_non_orientable(self, monkeypatch):
-        # on the plain walk the kernel sees each orientable matrix once,
-        # in index order, and nothing else
+        # on the plain walk the kernel sees each orientable matrix that is
+        # Kahler or Spin once, in index order, and nothing else: the walk
+        # counts the other orientable matrices without decoding them
         seen = []
         real_kernel = census_mod.bott_verdicts
 
@@ -295,7 +306,7 @@ class TestRunCensus:
                 for a in enumerate_bott(n)
                 if not any(r.bit_count() & 1 for r in a.row_masks)
             ]
-            assert seen == orientable
+            assert seen == [rows for rows in orientable if any(real_kernel(n, rows)[1:])]
             assert row.orientable == len(orientable) == 1 << cell_count(n - 1)
         # listing and the oracle cross-checks still see every matrix
         for cfg in (
@@ -357,7 +368,9 @@ class TestRangeWalk:
     def test_cut_points_inside_fields(self, monkeypatch, n, kind):
         # cuts at total * c // 7 fall inside row fields; the oracle walk's
         # cross_check is a stub that flags planted matrices, so only the
-        # walk is under test, and the kernel sees every matrix once
+        # walk is under test.  The kernel sees every matrix of the full
+        # walks once, and on the plain walk every matrix that is Kahler or
+        # Spin, the only ones it decodes; planted offenders are among those
         check_oracles, emit = kind == "oracles", kind == "emit"
         orientable_only = kind == "plain"
         total = 1 << cell_count(n - 1 if orientable_only else n)
@@ -365,6 +378,11 @@ class TestRangeWalk:
         seen = []
         planted = set()
         real_kernel = census_mod.bott_verdicts
+        reached = [
+            i
+            for i in range(total)
+            if not orientable_only or any(real_kernel(n, decoded_rows(n, True, i))[1:])
+        ]
 
         def spy(n, rows):
             seen.append(rows)
@@ -379,14 +397,15 @@ class TestRangeWalk:
         monkeypatch.setattr(census_mod, "cross_check", stub)
         whole = self.walk(n, [0, total], check_oracles, emit)
         decoded = [decoded_rows(n, orientable_only, i) for i in range(total)]
-        assert seen == decoded
+        assert seen == [decoded[i] for i in reached]
         seen.clear()
         assert self.walk(n, cuts, check_oracles, emit) == whole
-        assert seen == decoded
+        assert seen == [decoded[i] for i in reached]
         assert whole[2] is None and sum(whole[0].values()) == total
         assert whole[1] == ([mask_line(n, rows) for rows in decoded] if emit else [])
         # two planted offenders in different pieces, then one just past a cut
-        for picks in ({total - 1, total // 2}, {min(total * 3 // 7 + 1, total - 1)}):
+        past_cut = next((i for i in reached if i > total * 3 // 7), reached[-1])
+        for picks in ({reached[-1], reached[len(reached) // 2]}, {past_cut}):
             planted = {decoded_rows(n, orientable_only, i) for i in picks}
             first = min(picks)
             offender = self.walk(n, [0, total], check_oracles, emit)[2]
@@ -396,14 +415,113 @@ class TestRangeWalk:
 
     def test_start_near_the_end_of_n9(self):
         # the last four of the 2^28 orientable n = 9 matrices: the walk
-        # decodes the rows above its block once instead of stepping from
-        # index 0, which would take seconds
+        # descends to them along one path of subtrees instead of walking
+        # from index 0, which would take seconds
         start, stop = 2**28 - 4, 2**28
         expected = Counter(bott_verdicts(9, decoded_rows(9, True, i)) for i in range(start, stop))
         began = time.perf_counter()
         tally, lines, offender = _classify_range(9, start, stop, False, False)
         assert time.perf_counter() - began < 0.5
         assert (Counter(tally), lines, offender) == (expected, [], None)
+
+
+@pytest.fixture(scope="module")
+def plain_census():
+    """n -> (row, kernel calls) of the plain census for n = 1..8, in one
+    process (one usable CPU) with a counting kernel."""
+    results = {}
+    calls = Counter()
+    real_kernel = census_mod.bott_verdicts
+
+    def counting(n, rows):
+        calls[n] += 1
+        return real_kernel(n, rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(census_mod.os, "sched_getaffinity", lambda pid: {0})
+        patch.setattr(census_mod, "bott_verdicts", counting)
+        for n in range(1, 9):
+            row, _ = run_census(CensusConfig(n=n))
+            results[n] = (row, calls[n])
+    return results
+
+
+class TestSkipRule:
+    """The plain walk counts a subtree without decoding it once its leading
+    rows rule out both Kahler and Spin, so the kernel sees exactly the
+    orientable matrices that are Kahler or Spin."""
+
+    def test_kernel_calls(self, plain_census):
+        # 292 of the 1,024 orientable matrices at n = 6
+        for n, (row, calls) in plain_census.items():
+            assert calls == row.kahler + row.spin - row.kahler_and_spin
+        assert plain_census[6][1] == 292
+
+    @pytest.mark.parametrize(
+        "original, mutant, twin, cuts",
+        [
+            # a subtree skipped once Kahler alone fails, losing its Spin matrices
+            ("if refined is None and not even:", "if refined is None:", [1, 3, 4, 5, 6], []),
+            # a skipped subtree counted whole, even where it leaves [start, stop)
+            ("min(stop, first + size) - max(start, first)", "size", [], [5, 6]),
+            # a Spin prefix test without column l for r_l = 2 mod 4
+            ("r | ((r.bit_count() & 2) << i >> 1)", "r", [4, 5, 6], []),
+        ],
+        ids=["kahler_alone", "whole_interval", "spin_without_column_l"],
+    )
+    def test_twins_catch_walk_mutants(self, monkeypatch, original, mutant, twin, cuts):
+        # n <= 6 where the full-walk twin (test_orientable_walk_matches_full_walk)
+        # and the cut-point test (test_cut_points_inside_fields) fail
+        source = inspect.getsource(census_mod._plain_walk)
+        assert source.count(original) == 1
+        namespace = dict(vars(census_mod))
+        exec(source.replace(original, mutant), namespace)
+        monkeypatch.setattr(census_mod, "_plain_walk", namespace["_plain_walk"])
+        caught_by_twin, caught_by_cuts = [], []
+        for n in range(1, 7):
+            if not plain_walk_matches(n, full_tally(n, 0, 1 << cell_count(n))):
+                caught_by_twin.append(n)
+            total = 1 << cell_count(n - 1)
+            whole = TestRangeWalk.walk(n, [0, total], False, False)
+            if TestRangeWalk.walk(n, [total * c // 7 for c in range(8)], False, False) != whole:
+                caught_by_cuts.append(n)
+        assert (caught_by_twin, caught_by_cuts) == (twin, cuts)
+
+
+def kahler_count(n):
+    """Kahler Bott matrices of size n, counted column by column (Ishida:
+    every class of equal columns has even size).  Column k takes one of
+    2^k values; f(k, u) counts the ways to fill columns k..n-1 when u
+    values occur an odd number of times among columns 0..k-1: column k
+    repeats one of those u, or takes one of the other 2^k - u values."""
+
+    @lru_cache(maxsize=None)
+    def f(k, u):
+        if k == n:
+            return int(u == 0)
+        repeat = u * f(k + 1, u - 1) if u else 0
+        return repeat + ((1 << k) - u) * f(k + 1, u + 1)
+
+    return f(0, 0)
+
+
+class TestKahlerCount:
+    """The recurrence is a second route to the census's kahler column, with
+    no matrix walked; it reaches n = 8, whose row is not pinned."""
+
+    def test_matches_census(self, plain_census):
+        expected = [0, 1, 0, 6, 0, 192, 0, 28464]
+        assert [kahler_count(n) for n in range(1, 9)] == expected
+        assert [plain_census[n][0].kahler for n in range(1, 9)] == expected
+
+    def test_catches_a_count_of_every_value(self, plain_census):
+        # a column that may take any of its 2^k values, odd ones included
+        source = inspect.getsource(kahler_count)
+        assert source.count("((1 << k) - u)") == 1
+        namespace = dict(globals())
+        exec(source.replace("((1 << k) - u)", "(1 << k)"), namespace)
+        mutant = [namespace["kahler_count"](n) for n in range(1, 9)]
+        assert mutant != [plain_census[n][0].kahler for n in range(1, 9)]
 
 
 class TestDisagreementAbort:
@@ -554,10 +672,11 @@ class TestWorkerCap:
     workers, so never more than usable CPUs or shares of the walk.
 
     The pool is faked and runs its jobs in process, so no test here starts
-    a process.  Shares are 2^15 matrices on the plain walk, 2^11 with
-    --emit and 2^7 with --check-oracles: --emit n = 6 (2^15 walked) has
-    room for 16 workers and --check-oracles n = 5 (2^10) for 8, while
-    plain n = 7 (2^15) and --check-oracles n = 4 (2^6) stay in process.
+    a process.  Shares are 2^18 matrices on the plain walk, 2^11 with
+    --emit and 2^7 with --check-oracles: plain n = 8 (2^21 walked) has
+    room for 8 workers, --emit n = 6 (2^15) for 16 and --check-oracles
+    n = 5 (2^10) for 8, while plain n = 7 (2^15) and --check-oracles
+    n = 4 (2^6) stay in process.
     """
 
     def test_cap_applies(self, monkeypatch, pool_sizes):
@@ -593,6 +712,16 @@ class TestWorkerCap:
         # an oracle matrix costs some fifty plain ones: 2^10 of them split
         assert run_census(CensusConfig(n=5, check_oracles=True))[0].total == 1024
         assert pool_sizes == [16, 8]
+
+    def test_plain_shares_past_n7(self, monkeypatch, pool_sizes):
+        # the walk itself is stubbed: plain n = 8 fills 8 shares, n = 9 more
+        # shares than CPUs
+        monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.setattr(census_mod, "_classify_range", lambda *args: ({}, [], None))
+        run_census(CensusConfig(n=7))
+        run_census(CensusConfig(n=8))
+        run_census(CensusConfig(n=9))
+        assert pool_sizes == [8, 64]
 
     def test_share_boundary(self, monkeypatch, pool_sizes):
         # plain n = 6 walks 2^10: one share stays in process, two or four
