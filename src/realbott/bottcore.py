@@ -73,6 +73,7 @@ __all__ = [
     "spin_kahler_closed_form",
     "analyze",
     "bott_verdicts",
+    "settle",
     "mask_line",
 ]
 
@@ -596,13 +597,12 @@ def bott_verdicts(n: int, rows: Sequence[int]) -> tuple[bool, bool, bool]:
     a class c into c & R_i and the rest, ends at those classes.  An odd
     class always splits off an odd part and so never heals: the test
     stops at the first odd c & R_i.  is_kahler, which groups the
-    transposed columns in a dict, is the independent twin.  On Kahler
-    inputs the closed form of spin_kahler_closed_form is evaluated too
-    (every other member of a class, in index order, starts a pair; the
-    zero columns are the class of column 0), and InconsistencyError is
-    raised when it differs from the membership verdict, as it is on a
-    Kahler input with an odd row.  Spin starts as the orientability
-    verdict and is only ever cleared, so it never holds without it.
+    transposed columns in a dict, is the independent twin.  An orientable
+    input returns through settle, which on Kahler inputs checks the
+    membership verdict against the closed form; Kahler columns on a
+    matrix with an odd row raise InconsistencyError.  Spin starts as the
+    orientability verdict and is only ever cleared, so it never holds
+    without it.
     """
     orientable = True
     for r in rows:
@@ -640,24 +640,45 @@ def bott_verdicts(n: int, rows: Sequence[int]) -> tuple[bool, bool, bool]:
                     break
             if not spin:
                 break
-    if kahler:
-        if not orientable:
+    if not orientable:
+        if kahler:
             raise InconsistencyError(
                 f"Kahler columns on the non-orientable matrix {mask_line(n, rows)}"
             )
+        return False, False, False
+    return settle(n, rows, classes if kahler else None, spin)
+
+
+def settle(
+    n: int, rows: Sequence[int], classes: Optional[list[int]], spin: bool
+) -> tuple[bool, bool, bool]:
+    """(orientable, kahler, spin) of an orientable Bott matrix, from its deciders.
+
+    classes are the final classes of bott_verdicts' Kahler refinement of
+    rows, the class of column 0 (the zero columns) first, or None when
+    the matrix is not Kahler; spin is the pair-test verdict.  On Kahler
+    input the closed form of spin_kahler_closed_form is evaluated (every
+    other member of a class, in index order, starts a pair), and
+    InconsistencyError is raised when it differs from spin.  bott_verdicts
+    and the census's plain walk, which carries both deciders down its
+    rows, return through here.
+    """
+    if classes is not None:
         reps = 0
         for c in classes:
             while c:  # every other member, in index order, starts a pair
                 reps |= c & -c
                 c &= c - 1
                 c &= c - 1
-        spin_cf = all(
-            not (r & reps).bit_count() & 1 or classes[0] >> i & 1 for i, r in enumerate(rows)
-        )
+        zero = classes[0]
+        spin_cf = True
+        for i, r in enumerate(rows):  # S_i even, or column i zero
+            if (r & reps).bit_count() & 1 and not zero >> i & 1:
+                spin_cf = False
+                break
         if spin_cf != spin:
             raise InconsistencyError(
                 f"Spin deciders disagree on {mask_line(n, rows)}: "
                 f"closed-form={spin_cf}, membership={spin}"
             )
-    return orientable, kahler, spin
-
+    return True, classes is not None, spin

@@ -14,10 +14,13 @@ its cell in column n-1 is the parity of those bits.  That space has
 non-orientable without being decoded.  Within it the walk goes depth
 first, one row at a time, and counts a subtree as orientable, neither
 Kahler nor Spin without decoding it once its leading rows rule out both
-(see _plain_walk); only the orientable matrices that are Kahler or Spin
-reach the kernel.  Listing (emit) and the oracle cross-checks must see
-every matrix, so they walk the full space, which is also the twin the
-tests compare the plain walk against.
+(see _plain_walk).  The walk carries the kernel's Kahler refinement and
+Spin pair tests down the rows, so the orientable matrices that are
+Kahler or Spin, the only ones it decodes, go to settle with the verdicts
+it already holds, and the Kahler ones take the closed-form check there.
+Listing (emit) and the oracle cross-checks must see every matrix, so
+they walk the full space through the kernel, bott_verdicts, which is
+also the twin the tests compare the plain walk against.
 
 Classification is embarrassingly parallel in either space: the index
 range splits into contiguous chunks, each chunk is classified on its
@@ -34,7 +37,7 @@ from functools import lru_cache
 from itertools import islice, product
 from typing import Iterator, Optional, Sequence
 
-from .bottcore import BottMatrix, InconsistencyError, analyze, bott_verdicts, mask_line
+from .bottcore import BottMatrix, InconsistencyError, analyze, bott_verdicts, mask_line, settle
 from .euclid import _check_motions, _orientable
 
 __all__ = [
@@ -51,7 +54,7 @@ __all__ = [
 
 # Size guard: a walk indexes at most 2^28 (268 million) matrices.  The
 # plain walk skips what its leading rows rule out, so n = 9 (2^28
-# orientable matrices of 2^36) takes a few seconds on one core of a
+# orientable matrices of 2^36) takes about 1.2 s on one core of a
 # 2-vCPU host; n = 10 (2^36) is refused.
 # The full walk, and with it matrix_at, enumerate_bott, --emit and
 # --check-oracles, stops at n = 8 (28 free cells).
@@ -61,20 +64,21 @@ MAX_WALK_BITS = 28
 MAX_EMIT_N = 7
 # One worker per share of the walk, at most one per usable CPU; a single
 # worker runs in process.  A share is 2^SHARE_BITS[kind] matrices, enough
-# work to pay for starting a worker: the plain walk costs about 0.15 us
-# per walked matrix at n = 8 (unevenly: it skips more of some subtrees
-# than of others), one matrix listed with --emit about 4 us, one
-# cross-checked with --check-oracles 75-170 us.  A pool of two costs
-# 30-45 ms more than the walk in process: plain n = 7 (2^15 walked)
-# took 7-13 ms in process against 35-57 ms on two workers, while n = 8
-# (2^21) took 0.33-0.43 s against 0.21-0.36 s and n = 9 (2^28) 2.7-3.1 s
-# against 1.5-2.2 s, six alternating pairs of fresh processes each (2
-# vCPUs, Python 3.11.7); 2^18 plain matrices are about 40 ms at n = 8.
+# work to pay for starting a worker: the plain walk costs about 0.07 us
+# per walked matrix at n = 8 and 0.004 us at n = 9 (it skips more of
+# the larger space, and more of some subtrees than of others), one
+# matrix listed with --emit about 4 us, one cross-checked with
+# --check-oracles 75-170 us.  A pool of two costs 30-45 ms more than the
+# walk in process: plain n = 7 (2^15 walked) took 6 ms in process
+# against 44-56 ms on two workers, n = 8 (2^21) 0.13-0.24 s against
+# 0.16-0.30 s, and n = 9 (2^28) 1.1-1.9 s against 0.65-1.16 s, six to
+# ten alternating pairs of fresh processes each (2 vCPUs, Python
+# 3.11.7), so a plain share is all of n = 8, about 0.15 s of walk.
 # Best of 9, before the kernel's Kahler refinement: --emit n = 5 (2^10)
 # 7.3 vs 16 ms, n = 6 (2^15) 228 vs 182 ms; --check-oracles n = 4 (2^6)
 # 5.3 vs 12 ms, n = 5 (2^10) 89 vs 53 ms, n = 6 (2^15, best of 3) 5.5 vs
 # 3.0 s.
-SHARE_BITS = {"plain": 18, "emit": 11, "oracles": 7}
+SHARE_BITS = {"plain": 21, "emit": 11, "oracles": 7}
 # The full walk in _classify_range decodes the rows above the low BLOCK_BITS
 # index bits once per block: 2^8 matrices per block walk as fast as one
 # product over all rows.
@@ -245,9 +249,12 @@ def _plain_walk(
     back as rows are added: an odd part never heals, and a pair depends
     on rows i and l alone (see bott_verdicts).  So once both fail, the
     subtree's index interval, clipped to [start, stop), counts as
-    orientable, neither Kahler nor Spin, and every other matrix, exactly
-    the orientable ones that are Kahler or Spin, goes to bott_verdicts.
-    Rows n-2 and n-1 of an orientable matrix are zero and add nothing.
+    orientable, neither Kahler nor Spin.  Every other leaf, exactly the
+    orientable matrices that are Kahler or Spin, goes to settle with the
+    walk's own classes and Spin verdict, which runs the closed-form check
+    on the Kahler ones.  A subtree inside [start, stop) walks all its
+    cells with no clipping.  Rows n-2 and n-1 of an orientable matrix are
+    zero and add nothing.
     """
     layout, table = _row_layout(n, True)
     levels = [
@@ -263,9 +270,15 @@ def _plain_walk(
         nonlocal ruled_out
         shift, cells = levels[i]
         size = 1 << shift
-        lo = max(0, (start - base) >> shift)
-        first = base + (lo << shift)
-        for r, t in cells[lo : (stop - base + size - 1) >> shift]:
+        deeper = i + 1 < len(levels)
+        inside = start <= base and base + (len(cells) << shift) <= stop
+        if inside:
+            first = base
+        else:
+            lo = max(0, (start - base) >> shift)
+            first = base + (lo << shift)
+            cells = cells[lo : (stop - base + size - 1) >> shift]
+        for r, t in cells:
             refined = classes
             if classes is not None and r:
                 refined = []
@@ -285,13 +298,16 @@ def _plain_walk(
                         even = False
                         break
             if refined is None and not even:
-                ruled_out += min(stop, first + size) - max(start, first)
+                if inside:
+                    ruled_out += size
+                else:
+                    ruled_out += min(stop, first + size) - max(start, first)
             else:
                 rows[i] = r
-                if i + 1 < len(levels):
+                if deeper:
                     descend(i + 1, first, refined, even)
                 else:
-                    verdicts = bott_verdicts(n, tuple(rows))
+                    verdicts = settle(n, rows, refined, even)
                     tally[verdicts] = tally.get(verdicts, 0) + 1
             first += size
 
@@ -311,11 +327,12 @@ def _classify_range(
     check_oracles: bool,
     emit: bool,
 ) -> tuple[dict[tuple[bool, bool, bool], int], list[str], Optional[tuple[int, str, str]]]:
-    """Classify one contiguous index range with bott_verdicts.
+    """Classify one contiguous index range.
 
-    The range indexes the full space with check_oracles or emit, else the
-    orientable space, which _plain_walk walks.  With check_oracles, every
-    matrix also goes through cross_check.
+    The range indexes the full space with check_oracles or emit, and
+    every matrix goes through bott_verdicts, and with check_oracles
+    through cross_check too.  Else it indexes the orientable space, which
+    _plain_walk walks, handing its Kahler or Spin leaves to settle.
     Returns (tally of (orientable, kahler, spin) verdicts, emitted lines,
     first offender or None); on an offender the range stops early.  The
     offender carries its full-space index in either space, so matrix_at
@@ -361,10 +378,11 @@ def run_census(cfg: CensusConfig) -> tuple[CensusRow, list[str]]:
     Without emit_matrices and check_oracles only the orientable space is
     walked, and every other matrix counts as non-orientable (neither
     Kahler nor Spin); within it, _plain_walk decodes only the Kahler or
-    Spin matrices.  Chunk boundaries never change the counts: chunks
-    are contiguous index ranges and results combine by addition, in index
-    order for the emitted listing.  To use fewer CPUs, limit the process's
-    CPU set (for example with taskset), which the worker count follows.
+    Spin matrices, and settle takes each with the walk's own verdicts.
+    Chunk boundaries never change the counts: chunks are contiguous index
+    ranges and results combine by addition, in index order for the
+    emitted listing.  To use fewer CPUs, limit the process's CPU set (for
+    example with taskset), which the worker count follows.
     """
     orientable_only = not (cfg.emit_matrices or cfg.check_oracles)
     bits = _check_size(cfg.n, orientable_only)

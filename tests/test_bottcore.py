@@ -950,6 +950,16 @@ class TestBottVerdicts:
     def test_sixdim(self, sixdim_bott):
         assert bott_verdicts(6, sixdim_bott.row_masks) == (True, True, False)
 
+    def test_settle_checks_the_closed_form(self, sixdim_bott):
+        # the fixture's classes of equal columns, zero columns first; S_3 is
+        # odd with column 3 nonzero, so the closed form says not Spin
+        rows, classes = sixdim_bott.row_masks, [0b000011, 0b001100, 0b110000]
+        assert bottcore_mod.settle(6, rows, classes, False) == (True, True, False)
+        with pytest.raises(InconsistencyError, match="Spin deciders disagree"):
+            bottcore_mod.settle(6, rows, classes, True)
+        # with no classes there is nothing to check the Spin verdict against
+        assert bottcore_mod.settle(6, rows, None, True) == (True, False, True)
+
     def test_matches_analyze_exhaustive_n_le_6(self, pool):
         assert exhaustive_failures(pool, kernel_matches_analyze) == []
 

@@ -287,17 +287,22 @@ class TestRunCensus:
         assert plain_walk_matches(n, sum(full_walk_pool.map(full_tally, *zip(*jobs)), Counter()))
 
     def test_plain_walk_skips_non_orientable(self, monkeypatch):
-        # on the plain walk the kernel sees each orientable matrix that is
+        # on the plain walk settle sees each orientable matrix that is
         # Kahler or Spin once, in index order, and nothing else: the walk
-        # counts the other orientable matrices without decoding them
+        # counts the other orientable matrices without decoding them, and
+        # never calls the kernel
         seen = []
-        real_kernel = census_mod.bott_verdicts
+        real_kernel, real_settle = census_mod.bott_verdicts, census_mod.settle
 
-        def spy(n, rows):
+        def spy(n, rows, *state):
             seen.append(tuple(rows))
-            return real_kernel(n, rows)
+            return (real_settle if state else real_kernel)(n, rows, *state)
 
-        monkeypatch.setattr(census_mod, "bott_verdicts", spy)
+        def never(n, rows):
+            raise AssertionError("the plain walk called bott_verdicts")
+
+        monkeypatch.setattr(census_mod, "settle", spy)
+        monkeypatch.setattr(census_mod, "bott_verdicts", never)
         for n in range(1, 6):
             seen.clear()
             row, _ = run_census(CensusConfig(n=n))
@@ -308,7 +313,9 @@ class TestRunCensus:
             ]
             assert seen == [rows for rows in orientable if any(real_kernel(n, rows)[1:])]
             assert row.orientable == len(orientable) == 1 << cell_count(n - 1)
-        # listing and the oracle cross-checks still see every matrix
+        # listing and the oracle cross-checks still see every matrix, through
+        # the kernel
+        monkeypatch.setattr(census_mod, "bott_verdicts", spy)
         for cfg in (
             CensusConfig(n=4, emit_matrices=True),
             CensusConfig(n=4, check_oracles=True),
@@ -369,31 +376,33 @@ class TestRangeWalk:
         # cuts at total * c // 7 fall inside row fields; the oracle walk's
         # cross_check is a stub that flags planted matrices, so only the
         # walk is under test.  The kernel sees every matrix of the full
-        # walks once, and on the plain walk every matrix that is Kahler or
-        # Spin, the only ones it decodes; planted offenders are among those
+        # walks once, and settle on the plain walk every matrix that is
+        # Kahler or Spin, the only ones it decodes; planted offenders are
+        # among those
         check_oracles, emit = kind == "oracles", kind == "emit"
         orientable_only = kind == "plain"
         total = 1 << cell_count(n - 1 if orientable_only else n)
         cuts = [total * c // 7 for c in range(8)]
         seen = []
         planted = set()
-        real_kernel = census_mod.bott_verdicts
+        real_kernel, real_settle = census_mod.bott_verdicts, census_mod.settle
         reached = [
             i
             for i in range(total)
             if not orientable_only or any(real_kernel(n, decoded_rows(n, True, i))[1:])
         ]
 
-        def spy(n, rows):
+        def spy(n, rows, *state):
+            rows = tuple(rows)
             seen.append(rows)
             if rows in planted and not check_oracles:
                 raise InconsistencyError("planted")
-            return real_kernel(n, rows)
+            return (real_settle if state else real_kernel)(n, rows, *state)
 
         def stub(a, verdicts):
             return ["planted"] if a.row_masks in planted else []
 
-        monkeypatch.setattr(census_mod, "bott_verdicts", spy)
+        monkeypatch.setattr(census_mod, "settle" if orientable_only else "bott_verdicts", spy)
         monkeypatch.setattr(census_mod, "cross_check", stub)
         whole = self.walk(n, [0, total], check_oracles, emit)
         decoded = [decoded_rows(n, orientable_only, i) for i in range(total)]
@@ -427,19 +436,19 @@ class TestRangeWalk:
 
 @pytest.fixture(scope="module")
 def plain_census():
-    """n -> (row, kernel calls) of the plain census for n = 1..8, in one
-    process (one usable CPU) with a counting kernel."""
+    """n -> (row, settle calls) of the plain census for n = 1..8, in one
+    process (one usable CPU) with a counting settle."""
     results = {}
     calls = Counter()
-    real_kernel = census_mod.bott_verdicts
+    real_settle = census_mod.settle
 
-    def counting(n, rows):
+    def counting(n, rows, classes, spin):
         calls[n] += 1
-        return real_kernel(n, rows)
+        return real_settle(n, rows, classes, spin)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(census_mod.os, "sched_getaffinity", lambda pid: {0})
-        patch.setattr(census_mod, "bott_verdicts", counting)
+        patch.setattr(census_mod, "settle", counting)
         for n in range(1, 9):
             row, _ = run_census(CensusConfig(n=n))
             results[n] = (row, calls[n])
@@ -448,30 +457,66 @@ def plain_census():
 
 class TestSkipRule:
     """The plain walk counts a subtree without decoding it once its leading
-    rows rule out both Kahler and Spin, so the kernel sees exactly the
+    rows rule out both Kahler and Spin, so settle sees exactly the
     orientable matrices that are Kahler or Spin."""
 
     def test_kernel_calls(self, plain_census):
-        # 292 of the 1,024 orientable matrices at n = 6
+        # settle, the closed-form check, on 292 of the 1,024 orientable
+        # matrices at n = 6
         for n, (row, calls) in plain_census.items():
             assert calls == row.kahler + row.spin - row.kahler_and_spin
         assert plain_census[6][1] == 292
 
     @pytest.mark.parametrize(
-        "original, mutant, twin, cuts",
+        "original, mutant, twin, cuts, census6",
         [
             # a subtree skipped once Kahler alone fails, losing its Spin matrices
-            ("if refined is None and not even:", "if refined is None:", [1, 3, 4, 5, 6], []),
-            # a skipped subtree counted whole, even where it leaves [start, stop)
-            ("min(stop, first + size) - max(start, first)", "size", [], [5, 6]),
+            ("if refined is None and not even:", "if refined is None:", [1, 3, 4, 5, 6], [], None),
+            # a skipped subtree that crosses a cut counted whole
+            ("min(stop, first + size) - max(start, first)", "size", [], [5, 6], None),
+            # every subtree walked as if it lay inside [start, stop)
+            (
+                "inside = start <= base and base + (len(cells) << shift) <= stop",
+                "inside = True",
+                [],
+                [1, 2, 3, 4, 5, 6],
+                None,
+            ),
             # a Spin prefix test without column l for r_l = 2 mod 4
-            ("r | ((r.bit_count() & 2) << i >> 1)", "r", [4, 5, 6], []),
+            ("r | ((r.bit_count() & 2) << i >> 1)", "r", [4, 5, 6], [6], "Spin deciders disagree"),
+            # the Kahler refinement of bott_verdicts' drops_complement mutant
+            (
+                "if part != c:\n                        refined.append(c ^ part)\n"
+                "                    if part:\n                        refined.append(part)",
+                "refined.append(part or c)",
+                [4, 6],
+                [4, 6],
+                "Spin deciders disagree",
+            ),
+            # the Kahler refinement of bott_verdicts' first_class_parity mutant
+            (
+                "if part.bit_count() & 1:",
+                "if part.bit_count() & 1 and c == classes[0]:",
+                [6],
+                [6],
+                "Spin deciders disagree",
+            ),
         ],
-        ids=["kahler_alone", "whole_interval", "spin_without_column_l"],
+        ids=[
+            "kahler_alone",
+            "whole_interval",
+            "all_inside",
+            "spin_without_column_l",
+            "drops_complement",
+            "first_class_parity",
+        ],
     )
-    def test_twins_catch_walk_mutants(self, monkeypatch, original, mutant, twin, cuts):
+    def test_twins_catch_walk_mutants(self, monkeypatch, original, mutant, twin, cuts, census6):
         # n <= 6 where the full-walk twin (test_orientable_walk_matches_full_walk)
-        # and the cut-point test (test_cut_points_inside_fields) fail
+        # and the cut-point test (test_cut_points_inside_fields) fail.  The
+        # walk's own Kahler and Spin verdicts reach the census with no second
+        # run of the kernel, so census6 names the mutants whose n = 6 census
+        # settle's closed-form check aborts, and None where it runs through
         source = inspect.getsource(census_mod._plain_walk)
         assert source.count(original) == 1
         namespace = dict(vars(census_mod))
@@ -486,6 +531,11 @@ class TestSkipRule:
             if TestRangeWalk.walk(n, [total * c // 7 for c in range(8)], False, False) != whole:
                 caught_by_cuts.append(n)
         assert (caught_by_twin, caught_by_cuts) == (twin, cuts)
+        if census6 is None:
+            run_census(CensusConfig(n=6))
+        else:
+            with pytest.raises(OracleDisagreementError, match=census6):
+                run_census(CensusConfig(n=6))
 
 
 def kahler_count(n):
@@ -524,6 +574,73 @@ class TestKahlerCount:
         assert mutant != [plain_census[n][0].kahler for n in range(1, 9)]
 
 
+def kahler_walk(n):
+    """(Kahler matrices, Spin ones, lines where bott_verdicts disagrees) of
+    even size n, walked depth first column by column (Ishida: every class
+    of equal columns has even size).  Column k takes a value v < 2^k, bit
+    i of v being a_ik; odd holds the values taken an odd number of times
+    so far, and once it has as many values as columns are left, every
+    later column must repeat one of them, so each leaf is Kahler.  At a
+    leaf the closed form reads the walk's classes: a class of m equal
+    columns makes m/2 pairs, so S (bit i is S_i) is the XOR of the values
+    of the classes with m = 2 mod 4, and the manifold is Spin iff every
+    row has S_i even or column i zero.  The kernel must give (True, True,
+    that verdict) without raising."""
+    cols = [0] * n
+    kahler = spin = 0
+    disagree = []
+
+    def walk(k, odd):
+        nonlocal kahler, spin
+        if k < n:
+            for v in sorted(odd) if len(odd) == n - k else range(1 << k):
+                cols[k] = v
+                walk(k + 1, odd ^ {v})
+            return
+        assert not odd
+        s = 0
+        for v, m in Counter(cols).items():
+            if m % 4 == 2:
+                s ^= v
+        spin_cf = all(not s >> i & 1 or not cols[i] for i in range(n))
+        rows = [sum((c >> i & 1) << j for j, c in enumerate(cols)) for i in range(n)]
+        try:
+            agrees = bott_verdicts(n, rows) == (True, True, spin_cf)
+        except InconsistencyError:
+            agrees = False
+        if not agrees:
+            disagree.append(mask_line(n, rows))
+        kahler += 1
+        spin += spin_cf
+
+    walk(0, frozenset())
+    return kahler, spin, disagree
+
+
+class TestKahlerWalk:
+    """The column walk is a second route to the census's kahler and
+    kahler_and_spin columns that shares no code with the kernel's
+    refinement or settle, and checks the kernel on every Kahler matrix up
+    to n = 8, whose row is not pinned."""
+
+    def test_matches_census(self, plain_census):
+        # (kahler, kahler_and_spin); n = 8 takes about 0.6 s
+        expected = {2: (1, 1), 4: (6, 6), 6: (192, 76), 8: (28464, 4244)}
+        for n, counts in expected.items():
+            row = plain_census[n][0]
+            assert (row.kahler, row.kahler_and_spin) == counts
+            assert kahler_walk(n) == (*counts, [])
+
+    def test_catches_a_closed_form_without_zero_columns(self):
+        # S_i odd counted against Spin even where column i is zero: 5 of the
+        # 6 Kahler matrices at n = 4 and 68 of the 192 at n = 6 disagree
+        source = inspect.getsource(kahler_walk)
+        assert source.count(" or not cols[i]") == 1
+        namespace = dict(globals())
+        exec(source.replace(" or not cols[i]", ""), namespace)
+        assert [len(namespace["kahler_walk"](n)[2]) for n in (2, 4, 6)] == [0, 5, 68]
+
+
 class TestDisagreementAbort:
     """A sabotaged route must abort the census at the smallest offending
     index, with its serialized reproducer.
@@ -531,11 +648,32 @@ class TestDisagreementAbort:
     The plain census walks only the orientable matrices, so sabotage on
     that path targets two orientable n = 4 matrices, listed largest
     first: full indices 40 and 30 (orientable indices 4 and 3), so the
-    reproducer must carry the full index, not the walk's own.
+    reproducer must carry the full index, not the walk's own.  Every
+    orientable n = 4 matrix is Spin, so both reach settle, which takes
+    the plain walk's leaves as the kernel takes the full walk's.
     """
 
     bad = (5, 2)
     bad_orientable = (40, 30)
+
+    def sabotage(self, monkeypatch, wrap):
+        """Route settle and the kernel through wrap(real, n, rows, *state)
+        on the bad orientable matrices."""
+        bad_masks = {matrix_at(4, i).row_masks for i in self.bad_orientable}
+        assert all(not any(r.bit_count() & 1 for r in rows) for rows in bad_masks)
+        for name in ("settle", "bott_verdicts"):
+            real = getattr(census_mod, name)
+
+            def sabotaged(n, rows, *state, real=real):
+                if tuple(rows) in bad_masks:
+                    return wrap(real, n, rows, *state)
+                return real(n, rows, *state)
+
+            monkeypatch.setattr(census_mod, name, sabotaged)
+
+    @staticmethod
+    def injected(real, n, rows, *state):
+        raise InconsistencyError("injected disagreement")
 
     def assert_aborts_at(self, cfg, index, detail):
         with pytest.raises(OracleDisagreementError) as excinfo:
@@ -559,16 +697,7 @@ class TestDisagreementAbort:
         self.assert_aborts_at(CensusConfig(n=3, check_oracles=True), 2, "injected")
 
     def test_kernel_sabotage_on_plain_path(self, monkeypatch):
-        bad_masks = {matrix_at(4, i).row_masks for i in self.bad_orientable}
-        assert all(not any(r.bit_count() & 1 for r in rows) for rows in bad_masks)
-        real_kernel = census_mod.bott_verdicts
-
-        def sabotaged(n, rows):
-            if tuple(rows) in bad_masks:
-                raise InconsistencyError("injected disagreement")
-            return real_kernel(n, rows)
-
-        monkeypatch.setattr(census_mod, "bott_verdicts", sabotaged)
+        self.sabotage(monkeypatch, self.injected)
         self.assert_aborts_at(CensusConfig(n=4), 30, "injected")
         # the full walk (here for --emit) names the same index
         self.assert_aborts_at(CensusConfig(n=4, emit_matrices=True), 30, "injected")
@@ -579,30 +708,19 @@ class TestDisagreementAbort:
         # in different chunks, three put both in one
         monkeypatch.setattr(census_mod, "SHARE_BITS", dict.fromkeys(census_mod.SHARE_BITS, 0))
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        bad_masks = {matrix_at(4, i).row_masks for i in self.bad_orientable}
-        real_kernel = census_mod.bott_verdicts
-
-        def sabotaged(n, rows):
-            if tuple(rows) in bad_masks:
-                raise InconsistencyError("injected disagreement")
-            return real_kernel(n, rows)
-
-        monkeypatch.setattr(census_mod, "bott_verdicts", sabotaged)
+        self.sabotage(monkeypatch, self.injected)
         self.assert_aborts_at(CensusConfig(n=4), 30, "injected")
         self.assert_aborts_at(CensusConfig(n=4, emit_matrices=True), 30, "injected")
         assert pool_sizes == ([cpus, cpus] if cpus > 1 else [])
 
     def test_check_oracles_catches_wrong_kernel_verdict(self, monkeypatch):
-        # a kernel that miscounts without raising passes the plain path;
-        # under check_oracles analyze disagrees with it
-        bad_masks = {matrix_at(4, i).row_masks for i in self.bad_orientable}
-        real_kernel = census_mod.bott_verdicts
+        # a settle and a kernel that miscount without raising pass the plain
+        # path; under check_oracles analyze disagrees with the kernel
+        def flipped(real, n, rows, *state):
+            orientable, kahler, spin = real(n, rows, *state)
+            return orientable, kahler, not spin
 
-        def flipped(n, rows):
-            orientable, kahler, spin = real_kernel(n, rows)
-            return orientable, kahler, spin ^ (tuple(rows) in bad_masks)
-
-        monkeypatch.setattr(census_mod, "bott_verdicts", flipped)
+        self.sabotage(monkeypatch, flipped)
         row, _ = run_census(CensusConfig(n=4))
         assert row.spin == 8 - len(self.bad_orientable)  # both are Spin
         self.assert_aborts_at(
@@ -672,10 +790,10 @@ class TestWorkerCap:
     workers, so never more than usable CPUs or shares of the walk.
 
     The pool is faked and runs its jobs in process, so no test here starts
-    a process.  Shares are 2^18 matrices on the plain walk, 2^11 with
-    --emit and 2^7 with --check-oracles: plain n = 8 (2^21 walked) has
-    room for 8 workers, --emit n = 6 (2^15) for 16 and --check-oracles
-    n = 5 (2^10) for 8, while plain n = 7 (2^15) and --check-oracles
+    a process.  Shares are 2^21 matrices on the plain walk, 2^11 with
+    --emit and 2^7 with --check-oracles: plain n = 9 (2^28 walked) has
+    room for 128 workers, --emit n = 6 (2^15) for 16 and --check-oracles
+    n = 5 (2^10) for 8, while plain n = 8 (2^21) and --check-oracles
     n = 4 (2^6) stay in process.
     """
 
@@ -714,14 +832,14 @@ class TestWorkerCap:
         assert pool_sizes == [16, 8]
 
     def test_plain_shares_past_n7(self, monkeypatch, pool_sizes):
-        # the walk itself is stubbed: plain n = 8 fills 8 shares, n = 9 more
-        # shares than CPUs
+        # the walk itself is stubbed: plain n = 8 is one share and stays in
+        # process, n = 9 has more shares than CPUs
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(64)))
         monkeypatch.setattr(census_mod, "_classify_range", lambda *args: ({}, [], None))
         run_census(CensusConfig(n=7))
         run_census(CensusConfig(n=8))
         run_census(CensusConfig(n=9))
-        assert pool_sizes == [8, 64]
+        assert pool_sizes == [64]
 
     def test_share_boundary(self, monkeypatch, pool_sizes):
         # plain n = 6 walks 2^10: one share stays in process, two or four
