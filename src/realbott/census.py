@@ -7,9 +7,9 @@ materialization.
 
 Spin needs w1 = 0, and Kahler implies orientable (paired equal columns
 make every row weight even), so a non-orientable matrix only ever adds
-to the total.  The plain census therefore walks the orientable space
-alone: row i <= n-2 contributes its first n-2-i cells as free bits, and
-its cell in column n-1 is the parity of those bits.  That space has
+to the total.  The census therefore walks the orientable space alone:
+row i <= n-2 contributes its first n-2-i cells as free bits, and its
+cell in column n-1 is the parity of those bits.  That space has
 2^(m-(n-1)) matrices, and the other 2^m - 2^(m-(n-1)) are counted as
 non-orientable without being decoded.  Within it the walk goes depth
 first, one row at a time, and counts a subtree as orientable, neither
@@ -18,9 +18,10 @@ Kahler nor Spin without decoding it once its leading rows rule out both
 Spin pair tests down the rows, so the orientable matrices that are
 Kahler or Spin, the only ones it decodes, go to settle with the verdicts
 it already holds, and the Kahler ones take the closed-form check there.
-Listing (emit) and the oracle cross-checks must see every matrix, so
-they walk the full space through the kernel, bott_verdicts, which is
-also the twin the tests compare the plain walk against.
+The oracle cross-checks must see every matrix, so --check-oracles walks
+the full space through the kernel, bott_verdicts, which is also the twin
+the tests compare the plain walk against.  The --emit listing depends
+on no verdict: run_census spells it out from per-row text tables.
 
 Classification is embarrassingly parallel in either space: the index
 range splits into contiguous chunks, each chunk is classified on its
@@ -56,10 +57,10 @@ __all__ = [
 # plain walk skips what its leading rows rule out, so n = 9 (2^28
 # orientable matrices of 2^36) takes about 1.2 s on one core of a
 # 2-vCPU host; n = 10 (2^36) is refused.
-# The full walk, and with it matrix_at, enumerate_bott, --emit and
+# The full walk, and with it matrix_at, enumerate_bott and
 # --check-oracles, stops at n = 8 (28 free cells).
 MAX_WALK_BITS = 28
-# --emit holds every listed line in memory until the census ends: at
+# run_census returns the --emit listing whole, held in memory: at
 # n = 8 that is 2^28 lines of 71 characters, about 34 GB.
 MAX_EMIT_N = 7
 # One worker per share of the walk, at most one per usable CPU; a single
@@ -67,22 +68,16 @@ MAX_EMIT_N = 7
 # work to pay for starting a worker: the plain walk costs about 0.07 us
 # per walked matrix at n = 8 and 0.004 us at n = 9 (it skips more of
 # the larger space, and more of some subtrees than of others), one
-# matrix listed with --emit about 4 us, one cross-checked with
-# --check-oracles 75-170 us.  A pool of two costs 30-45 ms more than the
-# walk in process: plain n = 7 (2^15 walked) took 6 ms in process
-# against 44-56 ms on two workers, n = 8 (2^21) 0.13-0.24 s against
-# 0.16-0.30 s, and n = 9 (2^28) 1.1-1.9 s against 0.65-1.16 s, six to
-# ten alternating pairs of fresh processes each (2 vCPUs, Python
-# 3.11.7), so a plain share is all of n = 8, about 0.15 s of walk.
-# Best of 9, before the kernel's Kahler refinement: --emit n = 5 (2^10)
-# 7.3 vs 16 ms, n = 6 (2^15) 228 vs 182 ms; --check-oracles n = 4 (2^6)
-# 5.3 vs 12 ms, n = 5 (2^10) 89 vs 53 ms, n = 6 (2^15, best of 3) 5.5 vs
-# 3.0 s.
-SHARE_BITS = {"plain": 21, "emit": 11, "oracles": 7}
-# The full walk in _classify_range decodes the rows above the low BLOCK_BITS
-# index bits once per block: 2^8 matrices per block walk as fast as one
-# product over all rows.
-BLOCK_BITS = 8
+# matrix cross-checked with --check-oracles 75-170 us.  A pool of two
+# costs 30-45 ms more than the walk in process: plain n = 7 (2^15
+# walked) took 6 ms in process against 44-56 ms on two workers, n = 8
+# (2^21) 0.13-0.24 s against 0.16-0.30 s, and n = 9 (2^28) 1.1-1.9 s
+# against 0.65-1.16 s, six to ten alternating pairs of fresh processes
+# each (2 vCPUs, Python 3.11.7), so a plain share is all of n = 8, about
+# 0.15 s of walk.  Best of 9, before the kernel's Kahler refinement:
+# --check-oracles n = 4 (2^6) 5.3 vs 12 ms, n = 5 (2^10) 89 vs 53 ms,
+# n = 6 (2^15, best of 3) 5.5 vs 3.0 s.
+SHARE_BITS = {"plain": 21, "oracles": 7}
 
 
 class OracleDisagreementError(RuntimeError):
@@ -118,15 +113,16 @@ CSV_HEADER = ",".join(f.name for f in fields(CensusRow))
 class CensusConfig:
     """What to enumerate and how.
 
-    With emit_matrices set, every matrix is listed in index order.  With
-    check_oracles set, every matrix also takes the slow routes of
+    With emit_matrices set, every matrix is listed in index order; the
+    listing changes neither the walk nor the counts.  With check_oracles
+    set, every matrix takes the kernel and the slow routes of
     cross_check: analyze must match the kernel's verdicts, its two Spin
     deciders must agree on Kahler inputs, and the Euclidean-motion
     oracle must agree with the row calculus; the first disagreement
-    (smallest index) aborts the run with a reproducer.  Either flag
-    makes run_census walk the full space, else it walks the orientable
-    space alone.  run_census picks its own worker count (see
-    SHARE_BITS), and refuses emit_matrices above n = MAX_EMIT_N.
+    (smallest index) aborts the run with a reproducer.  That flag makes
+    run_census walk the full space, else it walks the orientable space
+    alone.  run_census picks its own worker count (see SHARE_BITS), and
+    refuses emit_matrices above n = MAX_EMIT_N.
     """
 
     n: int
@@ -237,10 +233,21 @@ def cross_check(a: BottMatrix, verdicts: tuple[bool, bool, bool]) -> list[str]:
     return problems + motion_problems
 
 
+@lru_cache(maxsize=None)
+def _plain_levels(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The plain walk's levels: (shift, (row mask, T_i) per field value) for
+    each orientable row that has a field, T_i as in bott_verdicts."""
+    layout, table = _row_layout(n, True)
+    return tuple(
+        (shift, tuple((r, r | ((r.bit_count() & 2) << i >> 1)) for r in table[: mask + 1]))
+        for i, (shift, mask) in enumerate(layout[: max(1, n - 2)])
+    )
+
+
 def _plain_walk(
     n: int, start: int, stop: int
-) -> tuple[dict[tuple[bool, bool, bool], int], list[str], Optional[tuple[int, str, str]]]:
-    """_classify_range on the orientable space, which lists nothing.
+) -> tuple[dict[tuple[bool, bool, bool], int], Optional[tuple[int, str, str]]]:
+    """_classify_range on the orientable space.
 
     A depth-first walk over the orientable row tables, in index order,
     that carries the state of the rows chosen so far: bott_verdicts'
@@ -255,13 +262,13 @@ def _plain_walk(
     on the Kahler ones.  A subtree inside [start, stop) walks all its
     cells with no clipping.  Rows n-2 and n-1 of an orientable matrix are
     zero and add nothing.
+
+    The kernel's one check that this walk skips, Kahler columns on a
+    matrix with an odd row, can never fire: the classes partition the n
+    columns, so an odd row R_i meets some class in an odd part, and the
+    refinement fails at row i at the latest.
     """
-    layout, table = _row_layout(n, True)
-    levels = [
-        # (shift, (row mask, T_i) per field value), T_i as in bott_verdicts
-        (shift, [(r, r | ((r.bit_count() & 2) << i >> 1)) for r in table[: mask + 1]])
-        for i, (shift, mask) in enumerate(layout[: max(1, n - 2)])
-    ]
+    levels = _plain_levels(n)
     rows = [0] * n
     tally: dict[tuple[bool, bool, bool], int] = {}
     ruled_out = 0
@@ -314,78 +321,63 @@ def _plain_walk(
     try:
         descend(0, 0, None if n & 1 else [(1 << n) - 1], True)
     except InconsistencyError as exc:
-        return tally, [], (_index_of(n, rows), mask_line(n, rows), str(exc))
+        return tally, (_index_of(n, rows), mask_line(n, rows), str(exc))
     if ruled_out:
         tally[(True, False, False)] = tally.get((True, False, False), 0) + ruled_out
-    return tally, [], None
+    return tally, None
 
 
 def _classify_range(
-    n: int,
-    start: int,
-    stop: int,
-    check_oracles: bool,
-    emit: bool,
-) -> tuple[dict[tuple[bool, bool, bool], int], list[str], Optional[tuple[int, str, str]]]:
+    n: int, start: int, stop: int, check_oracles: bool
+) -> tuple[dict[tuple[bool, bool, bool], int], Optional[tuple[int, str, str]]]:
     """Classify one contiguous index range.
 
-    The range indexes the full space with check_oracles or emit, and
-    every matrix goes through bott_verdicts, and with check_oracles
-    through cross_check too.  Else it indexes the orientable space, which
-    _plain_walk walks, handing its Kahler or Spin leaves to settle.
-    Returns (tally of (orientable, kahler, spin) verdicts, emitted lines,
-    first offender or None); on an offender the range stops early.  The
-    offender carries its full-space index in either space, so matrix_at
-    reproduces it; the orientable-to-full index map is increasing, so the
-    first offender of a range is the one with the smallest index.
+    With check_oracles the range indexes the full space, and every matrix
+    goes through bott_verdicts and cross_check.  Else it indexes the
+    orientable space, which _plain_walk walks, handing its Kahler or Spin
+    leaves to settle.  Returns (tally of (orientable, kahler, spin)
+    verdicts, first offender or None); on an offender the range stops
+    early.  The offender carries its full-space index in either space, so
+    matrix_at reproduces it; the orientable-to-full index map is
+    increasing, so the first offender of a range is the one with the
+    smallest index.
     """
-    if not (check_oracles or emit):
+    if not check_oracles:
         return _plain_walk(n, start, stop)
     layout, table = _row_layout(n, False)
-    # The rows after row `split` fill the low bits <= BLOCK_BITS of the
-    # index, and product over their tables yields them in index order.
-    # Rows 0..split are decoded once per block of 2^bits indices, so
-    # reaching start costs one decode, not start steps.
-    split = next(i for i, (shift, _) in enumerate(layout) if shift <= BLOCK_BITS)
-    bits = layout[split][0]
-    head = [(shift - bits, mask) for shift, mask in layout[: split + 1]]
-    tails = [table[: mask + 1] for _, mask in layout[split + 1 :]]
+    # product over the row tables yields the rows in index order; skipping
+    # to start costs about 2.4 s at the end of n = 8, where one share of
+    # this walk takes hours
+    walk = islice(product(*[table[: mask + 1] for _, mask in layout]), start, stop)
     # a plain dict: a Counter's += here made the n = 6 census about 9% slower
     tally: dict[tuple[bool, bool, bool], int] = {}
-    emitted: list[str] = []
-    for block in range(start >> bits, (stop + (1 << bits) - 1) >> bits):
-        first = block << bits
-        lead = [(table[(block >> shift) & mask],) for shift, mask in head]
-        walk = islice(product(*lead, *tails), max(start - first, 0), stop - first)
-        for rows in walk:
-            try:
-                verdicts = bott_verdicts(n, rows)
-            except InconsistencyError as exc:
-                return tally, emitted, (_index_of(n, rows), mask_line(n, rows), str(exc))
-            if check_oracles:
-                problems = cross_check(BottMatrix._make(n, rows), verdicts)
-                if problems:
-                    return tally, emitted, (_index_of(n, rows), mask_line(n, rows), problems[0])
-            tally[verdicts] = tally.get(verdicts, 0) + 1
-            if emit:
-                emitted.append(mask_line(n, rows))
-    return tally, emitted, None
+    for index, rows in enumerate(walk, start):
+        try:
+            verdicts = bott_verdicts(n, rows)
+        except InconsistencyError as exc:
+            return tally, (index, mask_line(n, rows), str(exc))
+        problems = cross_check(BottMatrix._make(n, rows), verdicts)
+        if problems:
+            return tally, (index, mask_line(n, rows), problems[0])
+        tally[verdicts] = tally.get(verdicts, 0) + 1
+    return tally, None
 
 
 def run_census(cfg: CensusConfig) -> tuple[CensusRow, list[str]]:
     """Classify the whole space for cfg.n; returns (counts, emitted lines).
 
-    Without emit_matrices and check_oracles only the orientable space is
-    walked, and every other matrix counts as non-orientable (neither
-    Kahler nor Spin); within it, _plain_walk decodes only the Kahler or
-    Spin matrices, and settle takes each with the walk's own verdicts.
-    Chunk boundaries never change the counts: chunks are contiguous index
-    ranges and results combine by addition, in index order for the
-    emitted listing.  To use fewer CPUs, limit the process's CPU set (for
-    example with taskset), which the worker count follows.
+    Without check_oracles only the orientable space is walked, and every
+    other matrix counts as non-orientable (neither Kahler nor Spin);
+    within it, _plain_walk decodes only the Kahler or Spin matrices, and
+    settle takes each with the walk's own verdicts.  Chunk boundaries
+    never change the counts: chunks are contiguous index ranges and
+    results combine by addition.  The emit_matrices listing takes no part
+    in the walk: one product over the text of each row's full-space table
+    spells out every index in order, about 0.45 s for the 2^21 lines of
+    n = 7.  To use fewer CPUs, limit the process's CPU set (for example
+    with taskset), which the worker count follows.
     """
-    orientable_only = not (cfg.emit_matrices or cfg.check_oracles)
-    bits = _check_size(cfg.n, orientable_only)
+    bits = _check_size(cfg.n, not cfg.check_oracles)
     if cfg.emit_matrices and cfg.n > MAX_EMIT_N:
         raise ValueError(f"size guard exceeded: --emit is limited to n <= {MAX_EMIT_N}")
     walked = 1 << bits
@@ -393,11 +385,9 @@ def run_census(cfg: CensusConfig) -> tuple[CensusRow, list[str]]:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cpus = os.cpu_count() or 1
-    kind = "oracles" if cfg.check_oracles else "emit" if cfg.emit_matrices else "plain"
-    workers = max(1, min(cpus, walked >> SHARE_BITS[kind]))
+    workers = max(1, min(cpus, walked >> SHARE_BITS["oracles" if cfg.check_oracles else "plain"]))
     bounds = [(walked * w) // workers for w in range(workers + 1)]
-    modes = (cfg.check_oracles, cfg.emit_matrices)
-    jobs = [(cfg.n, lo, hi, *modes) for lo, hi in zip(bounds, bounds[1:])]
+    jobs = [(cfg.n, lo, hi, cfg.check_oracles) for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1:
         results = [_classify_range(*jobs[0])]
     else:
@@ -405,17 +395,21 @@ def run_census(cfg: CensusConfig) -> tuple[CensusRow, list[str]]:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_classify_range, *zip(*jobs)))
 
-    offenders = [off for _, _, off in results if off is not None]
+    offenders = [off for _, off in results if off is not None]
     if offenders:
         index, line, detail = min(offenders)
         raise OracleDisagreementError(index, line, detail)
 
-    tally = sum((Counter(part) for part, _, _ in results), Counter())
+    tally = sum((Counter(part) for part, _ in results), Counter())
     # what the orientable walk skipped has an odd row: neither Kahler nor Spin
     tally[(False, False, False)] += (1 << cell_count(cfg.n)) - walked
-    emitted = [line for _, lines, _ in results for line in lines]
     count = [0] * 6  # the CensusRow fields after n, in order
     for (orientable, kahler, spin), matrices in tally.items():
         flags = (True, orientable, kahler, spin, kahler and spin, kahler and not spin)
         count = [c + f * matrices for c, f in zip(count, flags)]
+    emitted: list[str] = []
+    if cfg.emit_matrices:
+        layout, table = _row_layout(cfg.n, False)
+        texts = [[mask_line(cfg.n, (r,)) for r in table[: mask + 1]] for _, mask in layout]
+        emitted = ["/".join(rows) for rows in product(*texts)]
     return CensusRow(cfg.n, *count), emitted

@@ -80,7 +80,7 @@ def plain_walk_matches(n, full):
     """Whether the plain walk, with every matrix it skips as non-orientable,
     tallies the kernel's verdicts as the full walk does (full)."""
     walked = 1 << cell_count(n - 1)
-    part, _, offender = _classify_range(n, 0, walked, False, False)
+    part, offender = _classify_range(n, 0, walked, False)
     skipped = Counter({(False, False, False): (1 << cell_count(n)) - walked})
     return (
         offender is None
@@ -164,37 +164,47 @@ class TestRunCensus:
         assert len(kahler_spin) == row.kahler_and_spin == 6
 
     def test_chunk_sums_match_single_range(self):
-        # run_census adds per-chunk verdict tallies and concatenates
-        # per-chunk listings; any contiguous split must give the same
-        # tally and order
+        # run_census adds per-chunk verdict tallies of the full walk; any
+        # contiguous split must give the same tally, and the listing is
+        # the index order
         n, total = 4, 1 << cell_count(4)
         results = {}
         for chunks in (1, 3, 8):
             bounds = [(total * c) // chunks for c in range(chunks + 1)]
             tally = Counter()
-            emitted = []
             for start, stop in zip(bounds, bounds[1:]):
-                part, lines, offender = _classify_range(n, start, stop, False, True)
+                part, offender = _classify_range(n, start, stop, True)
                 assert offender is None
                 tally.update(part)
-                emitted.extend(lines)
-            results[chunks] = (tally, emitted)
+            results[chunks] = tally
         assert results[1] == results[3] == results[8]
         reports = [analyze(a) for a in enumerate_bott(n)]
-        assert results[1][0] == Counter(
+        assert results[1] == Counter(
             (r.orientable, r.kahler is not None, r.spin) for r in reports
         )
-        assert sum(results[1][0].values()) == run_census(CensusConfig(n=4))[0].total
-        assert results[1][1] == [matrix_at(4, i).to_line() for i in range(total)]
+        row, emitted = run_census(CensusConfig(n=4, emit_matrices=True))
+        assert sum(results[1].values()) == row.total
+        assert emitted == [matrix_at(4, i).to_line() for i in range(total)]
 
     def test_emit_guard_allows_n7(self, monkeypatch):
         # the guard refuses n >= 8 (see test_cli); n = 7 still classifies,
-        # here on one CPU so that the stub runs in process
+        # here on one CPU so that the stub runs in process, and lists the
+        # product of its seven row tables (stubbed: 2^21 lines take 0.5 s)
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: {0})
-        one = (Counter({(True, False, True): 1}), ["line"], None)
+        one = (Counter({(True, False, True): 1}), None)
         monkeypatch.setattr(census_mod, "_classify_range", lambda *args: one)
+        sizes = []
+
+        def listing(*texts):
+            sizes.extend(len(text) for text in texts)
+            return [("line",)]
+
+        monkeypatch.setattr(census_mod, "product", listing)
         row, emitted = run_census(CensusConfig(n=7, emit_matrices=True))
-        assert (row.total, row.spin, emitted) == (1, 1, ["line"])
+        # the stub's one matrix, and the 2^21 - 2^15 the plain walk skips
+        assert (row.total, row.orientable, row.spin) == (1 + 2**21 - 2**15, 1, 1)
+        assert emitted == ["line"]
+        assert sizes == [64, 32, 16, 8, 4, 2, 1]
 
     def test_plain_guard_allows_n9(self, monkeypatch):
         # 2^28 orientable matrices of 2^36; the walk itself is stubbed, and
@@ -204,11 +214,11 @@ class TestRunCensus:
 
         def stub(*args):
             calls.append(args)
-            return {(True, False, True): 1 << 28}, [], None
+            return {(True, False, True): 1 << 28}, None
 
         monkeypatch.setattr(census_mod, "_classify_range", stub)
         row, _ = run_census(CensusConfig(n=9))
-        assert calls == [(9, 0, 1 << 28, False, False)]
+        assert calls == [(9, 0, 1 << 28, False)]
         assert (row.total, row.orientable, row.spin) == (1 << 36, 1 << 28, 1 << 28)
 
     @pytest.mark.parametrize(
@@ -303,6 +313,7 @@ class TestRunCensus:
 
         monkeypatch.setattr(census_mod, "settle", spy)
         monkeypatch.setattr(census_mod, "bott_verdicts", never)
+        reached = {}
         for n in range(1, 6):
             seen.clear()
             row, _ = run_census(CensusConfig(n=n))
@@ -311,18 +322,38 @@ class TestRunCensus:
                 for a in enumerate_bott(n)
                 if not any(r.bit_count() & 1 for r in a.row_masks)
             ]
-            assert seen == [rows for rows in orientable if any(real_kernel(n, rows)[1:])]
+            reached[n] = [rows for rows in orientable if any(real_kernel(n, rows)[1:])]
+            assert seen == reached[n]
             assert row.orientable == len(orientable) == 1 << cell_count(n - 1)
-        # listing and the oracle cross-checks still see every matrix, through
-        # the kernel
+        # the listing takes the plain walk as it is; only the oracle
+        # cross-checks see every matrix, through the kernel
+        seen.clear()
+        run_census(CensusConfig(n=4, emit_matrices=True))
+        assert seen == reached[4]
         monkeypatch.setattr(census_mod, "bott_verdicts", spy)
-        for cfg in (
-            CensusConfig(n=4, emit_matrices=True),
-            CensusConfig(n=4, check_oracles=True),
-        ):
-            seen.clear()
-            run_census(cfg)
-            assert seen == [a.row_masks for a in enumerate_bott(4)]
+        seen.clear()
+        run_census(CensusConfig(n=4, check_oracles=True))
+        assert seen == [a.row_masks for a in enumerate_bott(4)]
+
+    def test_emit_lists_the_index_space(self, monkeypatch):
+        # the listing decodes no verdict: with a kernel that raises it is
+        # still every matrix in index order, and the row is the plain row;
+        # under check_oracles the kernel walks beside the same listing
+        real_kernel = census_mod.bott_verdicts
+
+        def never(n, rows):
+            raise AssertionError("the listing called bott_verdicts")
+
+        for n in range(1, 7):
+            expected = [matrix_at(n, i).to_line() for i in range(1 << cell_count(n))]
+            monkeypatch.setattr(census_mod, "bott_verdicts", never)
+            plain, listing = run_census(CensusConfig(n=n))
+            assert listing == []
+            assert run_census(CensusConfig(n=n, emit_matrices=True)) == (plain, expected)
+            if n <= 4:
+                monkeypatch.setattr(census_mod, "bott_verdicts", real_kernel)
+                cfg = CensusConfig(n=n, emit_matrices=True, check_oracles=True)
+                assert run_census(cfg) == (plain, expected)
 
     @pytest.mark.parametrize(
         "csv",
@@ -360,27 +391,26 @@ class TestRangeWalk:
     matrices in the same order as the index decode."""
 
     @staticmethod
-    def walk(n, bounds, check_oracles, emit):
-        """(tally, lines, first offender) of the ranges between bounds, merged."""
-        tally, lines, offenders = Counter(), [], []
+    def walk(n, bounds, check_oracles):
+        """(tally, first offender) of the ranges between bounds, merged."""
+        tally, offenders = Counter(), []
         for lo, hi in zip(bounds, bounds[1:]):
-            part, emitted, offender = _classify_range(n, lo, hi, check_oracles, emit)
+            part, offender = _classify_range(n, lo, hi, check_oracles)
             tally.update(part)
-            lines += emitted
             offenders += [offender] if offender else []
-        return tally, lines, min(offenders, default=None)
+        return tally, min(offenders, default=None)
 
-    @pytest.mark.parametrize("kind", ["plain", "emit", "oracles"])
+    @pytest.mark.parametrize("kind", ["plain", "oracles"])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_cut_points_inside_fields(self, monkeypatch, n, kind):
         # cuts at total * c // 7 fall inside row fields; the oracle walk's
         # cross_check is a stub that flags planted matrices, so only the
         # walk is under test.  The kernel sees every matrix of the full
-        # walks once, and settle on the plain walk every matrix that is
+        # walk once, and settle on the plain walk every matrix that is
         # Kahler or Spin, the only ones it decodes; planted offenders are
         # among those
-        check_oracles, emit = kind == "oracles", kind == "emit"
-        orientable_only = kind == "plain"
+        check_oracles = kind == "oracles"
+        orientable_only = not check_oracles
         total = 1 << cell_count(n - 1 if orientable_only else n)
         cuts = [total * c // 7 for c in range(8)]
         seen = []
@@ -404,23 +434,22 @@ class TestRangeWalk:
 
         monkeypatch.setattr(census_mod, "settle" if orientable_only else "bott_verdicts", spy)
         monkeypatch.setattr(census_mod, "cross_check", stub)
-        whole = self.walk(n, [0, total], check_oracles, emit)
+        whole = self.walk(n, [0, total], check_oracles)
         decoded = [decoded_rows(n, orientable_only, i) for i in range(total)]
         assert seen == [decoded[i] for i in reached]
         seen.clear()
-        assert self.walk(n, cuts, check_oracles, emit) == whole
+        assert self.walk(n, cuts, check_oracles) == whole
         assert seen == [decoded[i] for i in reached]
-        assert whole[2] is None and sum(whole[0].values()) == total
-        assert whole[1] == ([mask_line(n, rows) for rows in decoded] if emit else [])
+        assert whole[1] is None and sum(whole[0].values()) == total
         # two planted offenders in different pieces, then one just past a cut
         past_cut = next((i for i in reached if i > total * 3 // 7), reached[-1])
         for picks in ({reached[-1], reached[len(reached) // 2]}, {past_cut}):
             planted = {decoded_rows(n, orientable_only, i) for i in picks}
             first = min(picks)
-            offender = self.walk(n, [0, total], check_oracles, emit)[2]
+            offender = self.walk(n, [0, total], check_oracles)[1]
             full_index = census_mod._index_of(n, decoded_rows(n, orientable_only, first))
             assert offender == (full_index, matrix_at(n, full_index).to_line(), "planted")
-            assert self.walk(n, cuts, check_oracles, emit)[2] == offender
+            assert self.walk(n, cuts, check_oracles)[1] == offender
 
     def test_start_near_the_end_of_n9(self):
         # the last four of the 2^28 orientable n = 9 matrices: the walk
@@ -429,9 +458,9 @@ class TestRangeWalk:
         start, stop = 2**28 - 4, 2**28
         expected = Counter(bott_verdicts(9, decoded_rows(9, True, i)) for i in range(start, stop))
         began = time.perf_counter()
-        tally, lines, offender = _classify_range(9, start, stop, False, False)
+        tally, offender = _classify_range(9, start, stop, False)
         assert time.perf_counter() - began < 0.5
-        assert (Counter(tally), lines, offender) == (expected, [], None)
+        assert (Counter(tally), offender) == (expected, None)
 
 
 @pytest.fixture(scope="module")
@@ -516,19 +545,25 @@ class TestSkipRule:
         # and the cut-point test (test_cut_points_inside_fields) fail.  The
         # walk's own Kahler and Spin verdicts reach the census with no second
         # run of the kernel, so census6 names the mutants whose n = 6 census
-        # settle's closed-form check aborts, and None where it runs through
-        source = inspect.getsource(census_mod._plain_walk)
-        assert source.count(original) == 1
+        # settle's closed-form check aborts, and None where it runs through.
+        # The mutant replaces the one function of the walk whose source
+        # holds the original: _plain_walk or its cached levels
+        sources = {
+            name: inspect.getsource(getattr(census_mod, name))
+            for name in ("_plain_walk", "_plain_levels")
+        }
+        (target,) = [name for name, source in sources.items() if original in source]
+        assert sources[target].count(original) == 1
         namespace = dict(vars(census_mod))
-        exec(source.replace(original, mutant), namespace)
-        monkeypatch.setattr(census_mod, "_plain_walk", namespace["_plain_walk"])
+        exec(sources[target].replace(original, mutant), namespace)
+        monkeypatch.setattr(census_mod, target, namespace[target])
         caught_by_twin, caught_by_cuts = [], []
         for n in range(1, 7):
             if not plain_walk_matches(n, full_tally(n, 0, 1 << cell_count(n))):
                 caught_by_twin.append(n)
             total = 1 << cell_count(n - 1)
-            whole = TestRangeWalk.walk(n, [0, total], False, False)
-            if TestRangeWalk.walk(n, [total * c // 7 for c in range(8)], False, False) != whole:
+            whole = TestRangeWalk.walk(n, [0, total], False)
+            if TestRangeWalk.walk(n, [total * c // 7 for c in range(8)], False) != whole:
                 caught_by_cuts.append(n)
         assert (caught_by_twin, caught_by_cuts) == (twin, cuts)
         if census6 is None:
@@ -699,8 +734,8 @@ class TestDisagreementAbort:
     def test_kernel_sabotage_on_plain_path(self, monkeypatch):
         self.sabotage(monkeypatch, self.injected)
         self.assert_aborts_at(CensusConfig(n=4), 30, "injected")
-        # the full walk (here for --emit) names the same index
-        self.assert_aborts_at(CensusConfig(n=4, emit_matrices=True), 30, "injected")
+        # the full walk of --check-oracles names the same index
+        self.assert_aborts_at(CensusConfig(n=4, check_oracles=True), 30, "injected")
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_same_offender_at_every_split(self, monkeypatch, pool_sizes, cpus):
@@ -710,7 +745,7 @@ class TestDisagreementAbort:
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         self.sabotage(monkeypatch, self.injected)
         self.assert_aborts_at(CensusConfig(n=4), 30, "injected")
-        self.assert_aborts_at(CensusConfig(n=4, emit_matrices=True), 30, "injected")
+        self.assert_aborts_at(CensusConfig(n=4, check_oracles=True), 30, "injected")
         assert pool_sizes == ([cpus, cpus] if cpus > 1 else [])
 
     def test_check_oracles_catches_wrong_kernel_verdict(self, monkeypatch):
@@ -790,52 +825,52 @@ class TestWorkerCap:
     workers, so never more than usable CPUs or shares of the walk.
 
     The pool is faked and runs its jobs in process, so no test here starts
-    a process.  Shares are 2^21 matrices on the plain walk, 2^11 with
-    --emit and 2^7 with --check-oracles: plain n = 9 (2^28 walked) has
-    room for 128 workers, --emit n = 6 (2^15) for 16 and --check-oracles
-    n = 5 (2^10) for 8, while plain n = 8 (2^21) and --check-oracles
-    n = 4 (2^6) stay in process.
+    a process.  Shares are 2^21 matrices on the plain walk, which --emit
+    takes too, and 2^7 with --check-oracles: plain n = 9 (2^28 walked)
+    has room for 128 workers and --check-oracles n = 5 (2^10) for 8, while
+    plain n = 8 (2^21), --emit n = 6 and --check-oracles n = 4 (2^6) stay
+    in process.
     """
 
     def test_cap_applies(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        row, _ = run_census(CensusConfig(n=6, emit_matrices=True))
+        row, _ = run_census(CensusConfig(n=5, check_oracles=True))
         assert pool_sizes == [3]
-        assert row.to_csv() == "6,32768,1024,192,176,76,116"
+        assert row.to_csv() == "5,1024,64,0,30,0,0"
 
     def test_no_cap(self, monkeypatch, pool_sizes):
         # without CPU affinity the rule falls back to os.cpu_count(), and
         # to one CPU when that is unknown
         monkeypatch.delattr(census_mod.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(census_mod.os, "cpu_count", lambda: 4)
-        run_census(CensusConfig(n=6, emit_matrices=True))
+        run_census(CensusConfig(n=5, check_oracles=True))
         monkeypatch.setattr(census_mod.os, "cpu_count", lambda: None)
-        run_census(CensusConfig(n=6, emit_matrices=True))
+        run_census(CensusConfig(n=5, check_oracles=True))
         assert pool_sizes == [4]
 
     def test_one_cpu(self, monkeypatch, pool_sizes):
         # a single usable CPU runs in process, however large the walk
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: {0})
         run_census(CensusConfig(n=7))
-        run_census(CensusConfig(n=6, emit_matrices=True))
+        run_census(CensusConfig(n=5, check_oracles=True))
         assert pool_sizes == []
 
     def test_walk_caps_many_cpus(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(64)))
         run_census(CensusConfig(n=6))
         run_census(CensusConfig(n=7))
+        run_census(CensusConfig(n=6, emit_matrices=True))
         run_census(CensusConfig(n=4, check_oracles=True))
         assert pool_sizes == []
-        run_census(CensusConfig(n=6, emit_matrices=True))
         # an oracle matrix costs some fifty plain ones: 2^10 of them split
         assert run_census(CensusConfig(n=5, check_oracles=True))[0].total == 1024
-        assert pool_sizes == [16, 8]
+        assert pool_sizes == [8]
 
     def test_plain_shares_past_n7(self, monkeypatch, pool_sizes):
         # the walk itself is stubbed: plain n = 8 is one share and stays in
         # process, n = 9 has more shares than CPUs
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(64)))
-        monkeypatch.setattr(census_mod, "_classify_range", lambda *args: ({}, [], None))
+        monkeypatch.setattr(census_mod, "_classify_range", lambda *args: ({}, None))
         run_census(CensusConfig(n=7))
         run_census(CensusConfig(n=8))
         run_census(CensusConfig(n=9))
@@ -850,10 +885,18 @@ class TestWorkerCap:
             assert run_census(CensusConfig(n=6))[0].to_csv() == "6,32768,1024,192,176,76,116"
         assert pool_sizes == [2, 4]
 
-    @pytest.mark.parametrize("cfg", [CensusConfig(n=6), CensusConfig(n=4, check_oracles=True)])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            CensusConfig(n=6),
+            CensusConfig(n=4, check_oracles=True),
+            CensusConfig(n=6, emit_matrices=True),
+        ],
+    )
     def test_small_walks_never_build_a_pool(self, monkeypatch, cfg):
         # the benchmark times plain n = 6 in one process, whatever the CPUs;
-        # n = 4 is the largest oracle walk kept in process
+        # the listing adds no walk of its own, and n = 4 is the largest
+        # oracle walk kept in process
         def no_pool(*args, **kwargs):
             raise AssertionError("run_census built a process pool")
 
