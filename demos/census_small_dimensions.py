@@ -2,9 +2,10 @@
 
 Counts every strictly upper-triangular 0/1 matrix up to n = 6 and
 tabulates how many are orientable, Kahler, and Spin; a plain census
-decodes only the orientable matrices that are Kahler or Spin and counts
-the rest without looking at them.  Also lists the Kahler-but-not-Spin population at n = 6, the
-smallest dimension where it is nonempty.
+visits only the matrices that are Kahler or Spin and counts the rest
+without looking at them.  Also lists the Kahler-but-not-Spin population
+at n = 6, the smallest dimension where it is nonempty, from the census's
+streamed listing.
 
 Run:  python demos/census_small_dimensions.py
 """

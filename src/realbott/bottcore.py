@@ -660,8 +660,8 @@ def settle(
     input the closed form of spin_kahler_closed_form is evaluated (every
     other member of a class, in index order, starts a pair), and
     InconsistencyError is raised when it differs from spin.  bott_verdicts
-    and the census's plain walk, which carries both deciders down its
-    rows, return through here.
+    returns through here, and the census's bottom-up walk hands it every
+    Kahler matrix with the classes and the Spin verdict it carries.
     """
     if classes is not None:
         reps = 0

@@ -50,9 +50,10 @@ def klein_bottle() -> BottMatrix:
 
 @pytest.fixture
 def census_split(monkeypatch):
-    """census_split(k) makes every later run_census split its walk k ways:
-    k faked CPUs, and one matrix per worker at least.  The pool is real, so
-    k > 1 starts k processes; it returns the sizes of the pools built so far."""
+    """census_split(k) makes every later run_census with check_oracles split
+    its walk k ways: k faked CPUs, and one matrix per worker at least.  The
+    pool is real, so k > 1 starts k processes; it returns the sizes of the
+    pools built so far."""
     sizes = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -61,7 +62,7 @@ def census_split(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(census_mod, "SHARE_BITS", dict.fromkeys(census_mod.SHARE_BITS, 0))
+    monkeypatch.setattr(census_mod, "SHARE_BITS", 0)
 
     def split(k: int) -> list[int]:
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(k)))

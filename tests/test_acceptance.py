@@ -250,7 +250,9 @@ def test_criterion_10_census_determinism(census_split):
     emitted = {}
     for workers in (1, 2, 8):
         pools = census_split(workers)
-        rows[workers], emitted[workers] = run_census(CensusConfig(n=4, emit_matrices=True))
+        cfg = CensusConfig(n=4, emit_matrices=True, check_oracles=True)
+        row, listing = run_census(cfg)
+        rows[workers], emitted[workers] = row, list(listing)
     deterministic = rows[1] == rows[2] == rows[8] and pools == [2, 8]
     deterministic = deterministic and emitted[1] == emitted[2] == emitted[8]
     roundtrip = all(

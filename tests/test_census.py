@@ -3,7 +3,6 @@
 import concurrent.futures
 import inspect
 import multiprocessing
-import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
@@ -68,8 +67,8 @@ class TestEnumeration:
 
 
 def full_tally(n, start, stop):
-    """Kernel verdicts over a range of the full space: the orientable walk's twin."""
-    layout, table = census_mod._row_layout(n, False)
+    """Kernel verdicts over a range of the full space: the plain walk's twin."""
+    layout, table = census_mod._row_layout(n)
     tally = Counter()
     for index in range(start, stop):
         tally[bott_verdicts(n, [table[(index >> shift) & mask] for shift, mask in layout])] += 1
@@ -77,16 +76,20 @@ def full_tally(n, start, stop):
 
 
 def plain_walk_matches(n, full):
-    """Whether the plain walk, with every matrix it skips as non-orientable,
-    tallies the kernel's verdicts as the full walk does (full)."""
-    walked = 1 << cell_count(n - 1)
-    part, offender = _classify_range(n, 0, walked, False)
-    skipped = Counter({(False, False, False): (1 << cell_count(n)) - walked})
-    return (
-        offender is None
-        and all(orientable for orientable, _, _ in part)
-        and Counter(part) + skipped == full
+    """Whether the bottom-up walk tallies the kernel's verdicts as the full
+    walk does (full): settle sees only Kahler matrices, and of the other
+    orientable matrices the walk counts the Spin ones, so the rest are
+    neither, and every non-orientable matrix is nothing at all."""
+    part, spin_only, offender = census_mod._bottom_up_walk(n)
+    orientable = 1 << cell_count(n - 1)
+    walked = Counter(part) + Counter(
+        {
+            (True, False, True): spin_only,
+            (True, False, False): orientable - sum(part.values()) - spin_only,
+            (False, False, False): (1 << cell_count(n)) - orientable,
+        }
     )
+    return offender is None and all(kahler for _, kahler, _ in part) and walked == full
 
 
 @pytest.fixture
@@ -128,7 +131,7 @@ class TestRunCensus:
             n=2, total=2, orientable=1, kahler=1, spin=1,
             kahler_and_spin=1, kahler_not_spin=0,
         )
-        assert emitted == []
+        assert list(emitted) == []
 
     def test_n3_counts(self):
         row, _ = run_census(CensusConfig(n=3))
@@ -141,15 +144,18 @@ class TestRunCensus:
         assert row.kahler_and_spin + row.kahler_not_spin == row.kahler
 
     def test_worker_independence(self, census_split):
+        # only the full walk of --check-oracles splits; the plain census
+        # gives the same row in process
         rows = {}
         for workers in (1, 2, 8):
             pools = census_split(workers)
-            rows[workers], _ = run_census(CensusConfig(n=4))
+            rows[workers], _ = run_census(CensusConfig(n=4, check_oracles=True))
         assert pools == [2, 8]
-        assert rows[1] == rows[2] == rows[8]
+        assert rows[1] == rows[2] == rows[8] == run_census(CensusConfig(n=4))[0]
 
     def test_emit_roundtrip(self):
-        _, emitted = run_census(CensusConfig(n=3, emit_matrices=True))
+        _, listing = run_census(CensusConfig(n=3, emit_matrices=True))
+        emitted = list(listing)
         assert len(emitted) == 8
         for index, line in enumerate(emitted):
             assert parse_bott(line) == matrix_at(3, index)
@@ -157,7 +163,8 @@ class TestRunCensus:
     def test_emit_filtered(self):
         # the caller filters the full listing; the filtered count must
         # match the census count
-        row, emitted = run_census(CensusConfig(n=4, emit_matrices=True))
+        row, listing = run_census(CensusConfig(n=4, emit_matrices=True))
+        emitted = list(listing)
         reports = [analyze(parse_bott(line)) for line in emitted]
         kahler_spin = [r for r in reports if r.spin and r.kahler is not None]
         assert len(emitted) == row.total
@@ -173,7 +180,7 @@ class TestRunCensus:
             bounds = [(total * c) // chunks for c in range(chunks + 1)]
             tally = Counter()
             for start, stop in zip(bounds, bounds[1:]):
-                part, offender = _classify_range(n, start, stop, True)
+                part, offender = _classify_range(n, start, stop)
                 assert offender is None
                 tally.update(part)
             results[chunks] = tally
@@ -184,15 +191,13 @@ class TestRunCensus:
         )
         row, emitted = run_census(CensusConfig(n=4, emit_matrices=True))
         assert sum(results[1].values()) == row.total
-        assert emitted == [matrix_at(4, i).to_line() for i in range(total)]
+        assert list(emitted) == [matrix_at(4, i).to_line() for i in range(total)]
 
     def test_emit_guard_allows_n7(self, monkeypatch):
-        # the guard refuses n >= 8 (see test_cli); n = 7 still classifies,
-        # here on one CPU so that the stub runs in process, and lists the
-        # product of its seven row tables (stubbed: 2^21 lines take 0.5 s)
-        monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: {0})
-        one = (Counter({(True, False, True): 1}), None)
-        monkeypatch.setattr(census_mod, "_classify_range", lambda *args: one)
+        # the guard refuses n >= 8 (see test_cli); n = 7 still classifies
+        # (the walk is stubbed: one Spin matrix) and lists the product of
+        # its seven row tables (stubbed: 2^21 lines take 0.5 s)
+        monkeypatch.setattr(census_mod, "_bottom_up_walk", lambda n: ({}, 1, None))
         sizes = []
 
         def listing(*texts):
@@ -201,45 +206,45 @@ class TestRunCensus:
 
         monkeypatch.setattr(census_mod, "product", listing)
         row, emitted = run_census(CensusConfig(n=7, emit_matrices=True))
-        # the stub's one matrix, and the 2^21 - 2^15 the plain walk skips
-        assert (row.total, row.orientable, row.spin) == (1 + 2**21 - 2**15, 1, 1)
-        assert emitted == ["line"]
+        assert (row.total, row.orientable, row.spin) == (2**21, 2**15, 1)
+        assert list(emitted) == ["line"]
         assert sizes == [64, 32, 16, 8, 4, 2, 1]
 
     def test_plain_guard_allows_n9(self, monkeypatch):
         # 2^28 orientable matrices of 2^36; the walk itself is stubbed, and
-        # one CPU keeps it in process
-        monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: {0})
+        # counts every one of them Spin
         calls = []
 
         def stub(*args):
             calls.append(args)
-            return {(True, False, True): 1 << 28}, None
+            return {}, 1 << 28, None
 
-        monkeypatch.setattr(census_mod, "_classify_range", stub)
+        monkeypatch.setattr(census_mod, "_bottom_up_walk", stub)
         row, _ = run_census(CensusConfig(n=9))
-        assert calls == [(9, 0, 1 << 28, False)]
+        assert calls == [(9,)]
         assert (row.total, row.orientable, row.spin) == (1 << 36, 1 << 28, 1 << 28)
 
     @pytest.mark.parametrize(
         "cfg", [CensusConfig(n=10), CensusConfig(n=9, check_oracles=True)]
     )
     def test_guard_refuses_before_any_walk(self, monkeypatch, cfg):
-        # the orientable walk stops at n = 9, the full walk at n = 8
+        # the plain census stops at n = 9, the full walk at n = 8
         def never(*args):
-            raise AssertionError("_classify_range ran past the size guard")
+            raise AssertionError("a walk ran past the size guard")
 
         monkeypatch.setattr(census_mod, "_classify_range", never)
+        monkeypatch.setattr(census_mod, "_bottom_up_walk", never)
         with pytest.raises(ValueError, match="size guard"):
             run_census(cfg)
 
     def test_emit_order_stable_across_workers(self, census_split):
+        cfg = CensusConfig(n=4, emit_matrices=True, check_oracles=True)
         census_split(1)
-        _, serial = run_census(CensusConfig(n=4, emit_matrices=True))
+        serial = list(run_census(cfg)[1])
         pools = census_split(4)
-        _, parallel = run_census(CensusConfig(n=4, emit_matrices=True))
+        parallel = list(run_census(cfg)[1])
         assert pools == [4]
-        assert serial == parallel
+        assert serial == parallel == list(run_census(CensusConfig(n=4, emit_matrices=True))[1])
 
     def test_check_oracles_clean_small_n(self):
         for n in (1, 2, 3, 4):
@@ -249,21 +254,22 @@ class TestRunCensus:
     def test_index_decodes_to_matrix_at_rows(self):
         # the full walk reads row masks straight from the index
         for n in range(1, 7):
-            layout, table = census_mod._row_layout(n, False)
+            layout, table = census_mod._row_layout(n)
             for index in range(1 << cell_count(n)):
                 rows = tuple(table[(index >> shift) & mask] for shift, mask in layout)
                 assert rows == matrix_at(n, index).row_masks
 
     def test_orientable_index_map(self):
         # spelled out from the definition: row i <= n-2 takes its first
-        # n-2-i cells from the orientable index and its last cell is
-        # their parity; the map must decode like matrix_at, increase
-        # strictly and hit exactly the orientable full-space indices;
-        # _index_of, which names offenders, must invert it
+        # n-2-i cells freely and its last cell is their parity; that map
+        # must increase strictly and hit exactly the orientable full-space
+        # indices, so run_census may count 2^cells(n-1) orientable matrices
+        # by construction.  _index_of, which names the bottom-up walk's
+        # offenders, must invert matrix_at on each of them
         for n in range(1, 7):
             widths = [n - 2 - i for i in range(n - 1)]
             bits = sum(widths)
-            layout, table = census_mod._row_layout(n, True)
+            assert bits == cell_count(n - 1)
             images = []
             for index in range(1 << bits):
                 digits = format(index, f"0{bits}b") if bits else ""
@@ -272,18 +278,13 @@ class TestRunCensus:
                     field, digits = digits[:width], digits[width:]
                     full += field + str(field.count("1") % 2)
                 images.append(int(full or "0", 2))
-                rows = tuple(table[(index >> shift) & mask] for shift, mask in layout)
-                assert rows == matrix_at(n, images[-1]).row_masks
+                rows = matrix_at(n, images[-1]).row_masks
                 assert census_mod._index_of(n, rows) == images[-1]
             assert all(a < b for a, b in zip(images, images[1:]))
-            full_layout, full_table = census_mod._row_layout(n, False)
             orientable = [
                 index
                 for index in range(1 << cell_count(n))
-                if not any(
-                    full_table[(index >> shift) & mask].bit_count() & 1
-                    for shift, mask in full_layout
-                )
+                if not any(r.bit_count() & 1 for r in matrix_at(n, index).row_masks)
             ]
             assert images == orientable
 
@@ -297,10 +298,10 @@ class TestRunCensus:
         assert plain_walk_matches(n, sum(full_walk_pool.map(full_tally, *zip(*jobs)), Counter()))
 
     def test_plain_walk_skips_non_orientable(self, monkeypatch):
-        # on the plain walk settle sees each orientable matrix that is
-        # Kahler or Spin once, in index order, and nothing else: the walk
-        # counts the other orientable matrices without decoding them, and
-        # never calls the kernel
+        # on the plain walk settle sees each Kahler matrix once, in the
+        # walk's own order, and nothing else: the walk counts the other
+        # orientable matrices without decoding them, and never calls the
+        # kernel
         seen = []
         real_kernel, real_settle = census_mod.bott_verdicts, census_mod.settle
 
@@ -314,7 +315,7 @@ class TestRunCensus:
         monkeypatch.setattr(census_mod, "settle", spy)
         monkeypatch.setattr(census_mod, "bott_verdicts", never)
         reached = {}
-        for n in range(1, 6):
+        for n in range(1, 7):
             seen.clear()
             row, _ = run_census(CensusConfig(n=n))
             orientable = [
@@ -322,14 +323,14 @@ class TestRunCensus:
                 for a in enumerate_bott(n)
                 if not any(r.bit_count() & 1 for r in a.row_masks)
             ]
-            reached[n] = [rows for rows in orientable if any(real_kernel(n, rows)[1:])]
-            assert seen == reached[n]
+            reached[n] = Counter(rows for rows in orientable if real_kernel(n, rows)[1])
+            assert Counter(seen) == reached[n]
             assert row.orientable == len(orientable) == 1 << cell_count(n - 1)
         # the listing takes the plain walk as it is; only the oracle
         # cross-checks see every matrix, through the kernel
         seen.clear()
         run_census(CensusConfig(n=4, emit_matrices=True))
-        assert seen == reached[4]
+        assert Counter(seen) == reached[4]
         monkeypatch.setattr(census_mod, "bott_verdicts", spy)
         seen.clear()
         run_census(CensusConfig(n=4, check_oracles=True))
@@ -348,12 +349,13 @@ class TestRunCensus:
             expected = [matrix_at(n, i).to_line() for i in range(1 << cell_count(n))]
             monkeypatch.setattr(census_mod, "bott_verdicts", never)
             plain, listing = run_census(CensusConfig(n=n))
-            assert listing == []
-            assert run_census(CensusConfig(n=n, emit_matrices=True)) == (plain, expected)
+            assert list(listing) == []
+            row, listing = run_census(CensusConfig(n=n, emit_matrices=True))
+            assert (row, list(listing)) == (plain, expected)
             if n <= 4:
                 monkeypatch.setattr(census_mod, "bott_verdicts", real_kernel)
-                cfg = CensusConfig(n=n, emit_matrices=True, check_oracles=True)
-                assert run_census(cfg) == (plain, expected)
+                row, listing = run_census(CensusConfig(n=n, emit_matrices=True, check_oracles=True))
+                assert (row, list(listing)) == (plain, expected)
 
     @pytest.mark.parametrize(
         "csv",
@@ -379,94 +381,73 @@ class TestRunCensus:
         assert row.to_csv() == "2,2,1,1,1,1,0"
 
 
-def decoded_rows(n, orientable_only, index):
-    """Row masks of one walk index, read field by field as matrix_at does."""
-    layout, table = census_mod._row_layout(n, orientable_only)
+def decoded_rows(n, index):
+    """Row masks of one full-space index, read field by field as matrix_at does."""
+    layout, table = census_mod._row_layout(n)
     return tuple(table[(index >> shift) & mask] for shift, mask in layout)
 
 
 class TestRangeWalk:
-    """_classify_range reads its rows block by block from the row tables;
-    a range cut anywhere, even inside a row's field, must walk the same
-    matrices in the same order as the index decode."""
+    """_classify_range, the walk of --check-oracles, reads its rows from the
+    row tables; a range cut anywhere, even inside a row's field, must walk
+    the same matrices in the same order as the index decode.  The oracle
+    walk is the only one with index ranges: the plain census walks bottom
+    up in one process."""
 
     @staticmethod
-    def walk(n, bounds, check_oracles):
+    def walk(n, bounds):
         """(tally, first offender) of the ranges between bounds, merged."""
         tally, offenders = Counter(), []
         for lo, hi in zip(bounds, bounds[1:]):
-            part, offender = _classify_range(n, lo, hi, check_oracles)
+            part, offender = _classify_range(n, lo, hi)
             tally.update(part)
             offenders += [offender] if offender else []
         return tally, min(offenders, default=None)
 
-    @pytest.mark.parametrize("kind", ["plain", "oracles"])
+    # kind names the walk under test, the oracle walk, since the plain one
+    # has no ranges
+    @pytest.mark.parametrize("kind", ["oracles"])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_cut_points_inside_fields(self, monkeypatch, n, kind):
-        # cuts at total * c // 7 fall inside row fields; the oracle walk's
-        # cross_check is a stub that flags planted matrices, so only the
-        # walk is under test.  The kernel sees every matrix of the full
-        # walk once, and settle on the plain walk every matrix that is
-        # Kahler or Spin, the only ones it decodes; planted offenders are
-        # among those
-        check_oracles = kind == "oracles"
-        orientable_only = not check_oracles
-        total = 1 << cell_count(n - 1 if orientable_only else n)
+        # cuts at total * c // 7 fall inside row fields; cross_check is a
+        # stub that flags planted matrices, so only the walk is under test.
+        # The kernel sees every matrix once
+        total = 1 << cell_count(n)
         cuts = [total * c // 7 for c in range(8)]
         seen = []
         planted = set()
-        real_kernel, real_settle = census_mod.bott_verdicts, census_mod.settle
-        reached = [
-            i
-            for i in range(total)
-            if not orientable_only or any(real_kernel(n, decoded_rows(n, True, i))[1:])
-        ]
+        real_kernel = census_mod.bott_verdicts
 
-        def spy(n, rows, *state):
-            rows = tuple(rows)
-            seen.append(rows)
-            if rows in planted and not check_oracles:
-                raise InconsistencyError("planted")
-            return (real_settle if state else real_kernel)(n, rows, *state)
+        def spy(n, rows):
+            seen.append(tuple(rows))
+            return real_kernel(n, rows)
 
         def stub(a, verdicts):
             return ["planted"] if a.row_masks in planted else []
 
-        monkeypatch.setattr(census_mod, "settle" if orientable_only else "bott_verdicts", spy)
+        monkeypatch.setattr(census_mod, "bott_verdicts", spy)
         monkeypatch.setattr(census_mod, "cross_check", stub)
-        whole = self.walk(n, [0, total], check_oracles)
-        decoded = [decoded_rows(n, orientable_only, i) for i in range(total)]
-        assert seen == [decoded[i] for i in reached]
+        whole = self.walk(n, [0, total])
+        decoded = [decoded_rows(n, i) for i in range(total)]
+        assert seen == decoded
         seen.clear()
-        assert self.walk(n, cuts, check_oracles) == whole
-        assert seen == [decoded[i] for i in reached]
+        assert self.walk(n, cuts) == whole
+        assert seen == decoded
         assert whole[1] is None and sum(whole[0].values()) == total
         # two planted offenders in different pieces, then one just past a cut
-        past_cut = next((i for i in reached if i > total * 3 // 7), reached[-1])
-        for picks in ({reached[-1], reached[len(reached) // 2]}, {past_cut}):
-            planted = {decoded_rows(n, orientable_only, i) for i in picks}
+        past_cut = min(total * 3 // 7 + 1, total - 1)
+        for picks in ({total - 1, total // 2}, {past_cut}):
+            planted = {decoded[i] for i in picks}
             first = min(picks)
-            offender = self.walk(n, [0, total], check_oracles)[1]
-            full_index = census_mod._index_of(n, decoded_rows(n, orientable_only, first))
-            assert offender == (full_index, matrix_at(n, full_index).to_line(), "planted")
-            assert self.walk(n, cuts, check_oracles)[1] == offender
-
-    def test_start_near_the_end_of_n9(self):
-        # the last four of the 2^28 orientable n = 9 matrices: the walk
-        # descends to them along one path of subtrees instead of walking
-        # from index 0, which would take seconds
-        start, stop = 2**28 - 4, 2**28
-        expected = Counter(bott_verdicts(9, decoded_rows(9, True, i)) for i in range(start, stop))
-        began = time.perf_counter()
-        tally, offender = _classify_range(9, start, stop, False)
-        assert time.perf_counter() - began < 0.5
-        assert (Counter(tally), offender) == (expected, None)
+            offender = self.walk(n, [0, total])[1]
+            assert offender == (first, matrix_at(n, first).to_line(), "planted")
+            assert self.walk(n, cuts)[1] == offender
 
 
 @pytest.fixture(scope="module")
 def plain_census():
-    """n -> (row, settle calls) of the plain census for n = 1..8, in one
-    process (one usable CPU) with a counting settle."""
+    """n -> (row, settle calls) of the plain census for n = 1..8, with a
+    counting settle."""
     results = {}
     calls = Counter()
     real_settle = census_mod.settle
@@ -476,7 +457,6 @@ def plain_census():
         return real_settle(n, rows, classes, spin)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(census_mod.os, "sched_getaffinity", lambda pid: {0})
         patch.setattr(census_mod, "settle", counting)
         for n in range(1, 9):
             row, _ = run_census(CensusConfig(n=n))
@@ -484,35 +464,50 @@ def plain_census():
     return results
 
 
+@lru_cache(maxsize=None)
+def full_walk_of(n):
+    """full_tally over the whole space of n, once per n."""
+    return full_tally(n, 0, 1 << cell_count(n))
+
+
+def kahler_twins_agree(n):
+    """Whether the bottom-up walk's kahler and kahler_and_spin counts at even
+    n equal kahler_count's and kahler_walk's, with no offender."""
+    part, _, offender = census_mod._bottom_up_walk(n)
+    counts = (sum(part.values()), part.get((True, True, True), 0))
+    return offender is None and counts == (kahler_count(n), kahler_walk(n)[1])
+
+
 class TestSkipRule:
-    """The plain walk counts a subtree without decoding it once its leading
-    rows rule out both Kahler and Spin, so settle sees exactly the
-    orientable matrices that are Kahler or Spin."""
+    """The bottom-up walk sets each row only from the rows that keep Kahler
+    or Spin alive, so settle sees exactly the Kahler matrices, and the Spin
+    ones that are not Kahler are counted by rank."""
 
     def test_kernel_calls(self, plain_census):
-        # settle, the closed-form check, on 292 of the 1,024 orientable
-        # matrices at n = 6
+        # settle, the closed-form check, on the 192 Kahler matrices of the
+        # 1,024 orientable ones at n = 6, and on all 28,464 at n = 8
         for n, (row, calls) in plain_census.items():
-            assert calls == row.kahler + row.spin - row.kahler_and_spin
-        assert plain_census[6][1] == 292
+            assert calls == row.kahler
+        assert plain_census[6][1] == 192
+        assert plain_census[8][1] == 28464
 
     @pytest.mark.parametrize(
-        "original, mutant, twin, cuts, census6",
+        "original, mutant, twin, kahler_twins, census6",
         [
-            # a subtree skipped once Kahler alone fails, losing its Spin matrices
-            ("if refined is None and not even:", "if refined is None:", [1, 3, 4, 5, 6], [], None),
-            # a skipped subtree that crosses a cut counted whole
-            ("min(stop, first + size) - max(start, first)", "size", [], [5, 6], None),
-            # every subtree walked as if it lay inside [start, stop)
+            # Spin-only rows never set, so their subtrees lose their Spin matrices
+            ("down(i, u, None, True)", "pass", [3, 5, 6], [], None),
+            # a Spin row space without the all-ones constraint: odd rows count as Spin
+            ("1 << x: 1 for x", "1 << x: 0 for x", [2, 3, 4, 5, 6], [], None),
+            # a Kahler row space without the zero class: rows meeting it are lost
             (
-                "inside = start <= base and base + (len(cells) << shift) <= stop",
-                "inside = True",
-                [],
-                [1, 2, 3, 4, 5, 6],
+                "for c in classes:\n                c &= domain",
+                "for c in classes[1:]:\n                c &= domain",
+                [4, 6],
+                [4, 6],
                 None,
             ),
-            # a Spin prefix test without column l for r_l = 2 mod 4
-            ("r | ((r.bit_count() & 2) << i >> 1)", "r", [4, 5, 6], [6], "Spin deciders disagree"),
+            # T_l without column l for r_l = 2 mod 4
+            ("u | ((u.bit_count() & 2) << (i - 1))", "u", [4, 5, 6], [6], "Spin deciders disagree"),
             # the Kahler refinement of bott_verdicts' drops_complement mutant
             (
                 "if part != c:\n                        refined.append(c ^ part)\n"
@@ -522,50 +517,38 @@ class TestSkipRule:
                 [4, 6],
                 "Spin deciders disagree",
             ),
-            # the Kahler refinement of bott_verdicts' first_class_parity mutant
-            (
-                "if part.bit_count() & 1:",
-                "if part.bit_count() & 1 and c == classes[0]:",
-                [6],
-                [6],
-                "Spin deciders disagree",
-            ),
+            # the Spin rows of the Kahler row space counted again by rank
+            ("(1 << (n - 1 - len(pivots))) - len(both)", "1 << (n - 1 - len(pivots))", [2, 4, 6], [], None),
+            # the Spin rows of the Kahler row space walked again as not Kahler
+            ("spin_rows = [u for u in spin_rows if u not in both]", "pass", [2, 4, 6], [], None),
         ],
         ids=[
             "kahler_alone",
-            "whole_interval",
-            "all_inside",
+            "spin_without_all_ones",
+            "kahler_without_zero_class",
             "spin_without_column_l",
             "drops_complement",
-            "first_class_parity",
+            "spin_count_with_kahler_rows",
+            "spin_walk_with_kahler_rows",
         ],
     )
-    def test_twins_catch_walk_mutants(self, monkeypatch, original, mutant, twin, cuts, census6):
+    def test_twins_catch_walk_mutants(
+        self, monkeypatch, original, mutant, twin, kahler_twins, census6
+    ):
         # n <= 6 where the full-walk twin (test_orientable_walk_matches_full_walk)
-        # and the cut-point test (test_cut_points_inside_fields) fail.  The
-        # walk's own Kahler and Spin verdicts reach the census with no second
-        # run of the kernel, so census6 names the mutants whose n = 6 census
-        # settle's closed-form check aborts, and None where it runs through.
-        # The mutant replaces the one function of the walk whose source
-        # holds the original: _plain_walk or its cached levels
-        sources = {
-            name: inspect.getsource(getattr(census_mod, name))
-            for name in ("_plain_walk", "_plain_levels")
-        }
-        (target,) = [name for name, source in sources.items() if original in source]
-        assert sources[target].count(original) == 1
+        # fails, and even n <= 6 where kahler_count or kahler_walk disagrees
+        # with the walk's kahler or kahler_and_spin count.  The walk's own
+        # Kahler and Spin verdicts reach the census with no second run of
+        # the kernel, so census6 names the mutants whose n = 6 census
+        # settle's closed-form check aborts, and None where it runs through
+        source = inspect.getsource(census_mod._bottom_up_walk)
+        assert source.count(original) == 1
         namespace = dict(vars(census_mod))
-        exec(sources[target].replace(original, mutant), namespace)
-        monkeypatch.setattr(census_mod, target, namespace[target])
-        caught_by_twin, caught_by_cuts = [], []
-        for n in range(1, 7):
-            if not plain_walk_matches(n, full_tally(n, 0, 1 << cell_count(n))):
-                caught_by_twin.append(n)
-            total = 1 << cell_count(n - 1)
-            whole = TestRangeWalk.walk(n, [0, total], False)
-            if TestRangeWalk.walk(n, [total * c // 7 for c in range(8)], False) != whole:
-                caught_by_cuts.append(n)
-        assert (caught_by_twin, caught_by_cuts) == (twin, cuts)
+        exec(source.replace(original, mutant), namespace)
+        monkeypatch.setattr(census_mod, "_bottom_up_walk", namespace["_bottom_up_walk"])
+        caught_by_twin = [n for n in range(1, 7) if not plain_walk_matches(n, full_walk_of(n))]
+        caught_by_counts = [n for n in (2, 4, 6) if not kahler_twins_agree(n)]
+        assert (caught_by_twin, caught_by_counts) == (twin, kahler_twins)
         if census6 is None:
             run_census(CensusConfig(n=6))
         else:
@@ -680,12 +663,12 @@ class TestDisagreementAbort:
     """A sabotaged route must abort the census at the smallest offending
     index, with its serialized reproducer.
 
-    The plain census walks only the orientable matrices, so sabotage on
-    that path targets two orientable n = 4 matrices, listed largest
-    first: full indices 40 and 30 (orientable indices 4 and 3), so the
-    reproducer must carry the full index, not the walk's own.  Every
-    orientable n = 4 matrix is Spin, so both reach settle, which takes
-    the plain walk's leaves as the kernel takes the full walk's.
+    The plain census hands settle only the Kahler matrices, so sabotage
+    on that path targets two Kahler n = 4 matrices, listed largest first:
+    full indices 40 and 30.  Both are Kahler, so both reach settle, which
+    takes the plain walk's leaves as the kernel takes the full walk's.
+    The bottom-up walk visits 40 before 30, so the reproducer must be the
+    smallest offender, not the first one found.
     """
 
     bad = (5, 2)
@@ -737,16 +720,35 @@ class TestDisagreementAbort:
         # the full walk of --check-oracles names the same index
         self.assert_aborts_at(CensusConfig(n=4, check_oracles=True), 30, "injected")
 
+    def test_smallest_offender_wins_in_any_visit_order(self, monkeypatch):
+        # a spy in front of the sabotage records the order settle sees the
+        # two offenders in: the larger index first.  The census still names
+        # the smaller one, with its matrix_at reproducer
+        self.sabotage(monkeypatch, self.injected)
+        order = []
+        sabotaged = census_mod.settle
+
+        def spy(n, rows, *state):
+            index = census_mod._index_of(n, rows)
+            if index in self.bad_orientable:
+                order.append(index)
+            return sabotaged(n, rows, *state)
+
+        monkeypatch.setattr(census_mod, "settle", spy)
+        self.assert_aborts_at(CensusConfig(n=4), 30, "injected")
+        assert order == [40, 30]
+
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_same_offender_at_every_split(self, monkeypatch, pool_sizes, cpus):
-        # one matrix per worker at least: eight chunks put the two offenders
-        # in different chunks, three put both in one
-        monkeypatch.setattr(census_mod, "SHARE_BITS", dict.fromkeys(census_mod.SHARE_BITS, 0))
+        # one matrix per worker at least: eight chunks of the full walk put
+        # the two offenders in different chunks, three put both in one; the
+        # plain census builds no pool at any CPU count
+        monkeypatch.setattr(census_mod, "SHARE_BITS", 0)
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         self.sabotage(monkeypatch, self.injected)
         self.assert_aborts_at(CensusConfig(n=4), 30, "injected")
         self.assert_aborts_at(CensusConfig(n=4, check_oracles=True), 30, "injected")
-        assert pool_sizes == ([cpus, cpus] if cpus > 1 else [])
+        assert pool_sizes == ([cpus] if cpus > 1 else [])
 
     def test_check_oracles_catches_wrong_kernel_verdict(self, monkeypatch):
         # a settle and a kernel that miscount without raising pass the plain
@@ -757,7 +759,7 @@ class TestDisagreementAbort:
 
         self.sabotage(monkeypatch, flipped)
         row, _ = run_census(CensusConfig(n=4))
-        assert row.spin == 8 - len(self.bad_orientable)  # both are Spin
+        assert row.spin == 8 - len(self.bad_orientable)  # both are Kahler and Spin
         self.assert_aborts_at(
             CensusConfig(n=4, check_oracles=True), 30, "kernel and analyze disagree"
         )
@@ -821,15 +823,13 @@ class TestCrossCheck:
 
 
 class TestWorkerCap:
-    """run_census takes max(1, min(usable CPUs, walked >> SHARE_BITS[kind]))
-    workers, so never more than usable CPUs or shares of the walk.
+    """With --check-oracles run_census takes max(1, min(usable CPUs,
+    walked >> SHARE_BITS)) workers, so never more than usable CPUs or
+    shares of the walk; the plain census always runs in process.
 
     The pool is faked and runs its jobs in process, so no test here starts
-    a process.  Shares are 2^21 matrices on the plain walk, which --emit
-    takes too, and 2^7 with --check-oracles: plain n = 9 (2^28 walked)
-    has room for 128 workers and --check-oracles n = 5 (2^10) for 8, while
-    plain n = 8 (2^21), --emit n = 6 and --check-oracles n = 4 (2^6) stay
-    in process.
+    a process.  Shares are 2^7 matrices: --check-oracles n = 5 (2^10) has
+    room for 8 workers, while n = 4 (2^6) stays in process.
     """
 
     def test_cap_applies(self, monkeypatch, pool_sizes):
@@ -867,22 +867,22 @@ class TestWorkerCap:
         assert pool_sizes == [8]
 
     def test_plain_shares_past_n7(self, monkeypatch, pool_sizes):
-        # the walk itself is stubbed: plain n = 8 is one share and stays in
-        # process, n = 9 has more shares than CPUs
+        # the plain census has no shares: n = 7, 8 and 9 run in process on
+        # 64 CPUs, each in well under a second
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(64)))
-        monkeypatch.setattr(census_mod, "_classify_range", lambda *args: ({}, None))
         run_census(CensusConfig(n=7))
         run_census(CensusConfig(n=8))
-        run_census(CensusConfig(n=9))
-        assert pool_sizes == [64]
+        assert run_census(CensusConfig(n=9))[0].to_csv() == "9,68719476736,268435456,0,295010,0,0"
+        assert pool_sizes == []
 
     def test_share_boundary(self, monkeypatch, pool_sizes):
-        # plain n = 6 walks 2^10: one share stays in process, two or four
-        # shares take as many workers
+        # --check-oracles n = 4 walks 2^6: one share stays in process, two
+        # or four shares take as many workers
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(64)))
-        for bits in (10, 9, 8):
-            monkeypatch.setitem(census_mod.SHARE_BITS, "plain", bits)
-            assert run_census(CensusConfig(n=6))[0].to_csv() == "6,32768,1024,192,176,76,116"
+        for bits in (6, 5, 4):
+            monkeypatch.setattr(census_mod, "SHARE_BITS", bits)
+            cfg = CensusConfig(n=4, check_oracles=True)
+            assert run_census(cfg)[0].to_csv() == "4,64,8,6,8,6,0"
         assert pool_sizes == [2, 4]
 
     @pytest.mark.parametrize(
@@ -894,9 +894,9 @@ class TestWorkerCap:
         ],
     )
     def test_small_walks_never_build_a_pool(self, monkeypatch, cfg):
-        # the benchmark times plain n = 6 in one process, whatever the CPUs;
-        # the listing adds no walk of its own, and n = 4 is the largest
-        # oracle walk kept in process
+        # the benchmark times plain n = 6 in one process, whatever the CPUs
+        # (the plain census never builds a pool); the listing adds no walk
+        # of its own, and n = 4 is the largest oracle walk kept in process
         def no_pool(*args, **kwargs):
             raise AssertionError("run_census built a process pool")
 

@@ -389,12 +389,13 @@ class TestCensus:
         assert "error" in err
 
     def test_emit_n8_exit_2(self, capsys, monkeypatch):
-        # at n = 8 the listing would be 2^28 lines held in memory; the
-        # guard must fire before any range is classified
+        # at n = 8 the listing would be 2^28 lines, about 19 GB; the guard
+        # must fire before either walk starts
         def never(*args):
-            raise AssertionError("_classify_range ran past the --emit guard")
+            raise AssertionError("a walk ran past the --emit guard")
 
         monkeypatch.setattr(census_mod, "_classify_range", never)
+        monkeypatch.setattr(census_mod, "_bottom_up_walk", never)
         code, out, err = run(capsys, "census", "-n", "8", "--emit")
         assert code == 2
         assert out == ""
@@ -403,15 +404,16 @@ class TestCensus:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["census", "-n", "10"],  # 2^36 orientable matrices
+            ["census", "-n", "10"],  # 18 million Kahler matrices to settle
             ["census", "-n", "9", "--check-oracles"],  # 2^36 matrices, full walk
         ],
     )
     def test_walk_guard_exit_2(self, capsys, monkeypatch, argv):
         def never(*args):
-            raise AssertionError("_classify_range ran past the size guard")
+            raise AssertionError("a walk ran past the size guard")
 
         monkeypatch.setattr(census_mod, "_classify_range", never)
+        monkeypatch.setattr(census_mod, "_bottom_up_walk", never)
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
