@@ -573,14 +573,17 @@ def bott_verdicts(n: int, rows: Sequence[int]) -> tuple[bool, bool, bool]:
 
     Bit j of rows[i] is a_ij, so rows[i] has bits only at columns
     i < j < n; BottMatrix.row_masks gives them.  R_i is row i as a set of
-    columns and r_i = |R_i|.  This is the fast twin of analyze, with the
-    same cross-checks and no polynomials.
+    columns and r_i = |R_i|.  This is the fast twin of analyze with no
+    polynomials, and the per-matrix kernel of cross_check; each verdict
+    returns as soon as it is known.
 
     Column j of the Bott P-matrix has alpha_j + beta_j = c_j, the column
     form sum_i a_ij x_i, and theta_j = alpha_j * beta_j
     = x_j^2 + sum_{i<j} a_ij x_i x_j.  So
 
-    * w1 = c_1 + ... + c_n = sum_i r_i x_i: orientable iff every r_i is even;
+    * w1 = c_1 + ... + c_n = sum_i r_i x_i: orientable iff every r_i is
+      even.  Paired equal columns make every r_i even, so the first odd
+      row returns (False, False, False); analyze checks that lemma;
     * w2 = e2(c_1..c_n) has x_i^2 coefficient C(r_i, 2) and x_i x_l
       coefficient r_i r_l + |R_i & R_l| (i < l), all mod 2;
     * theta_l is the only generator that carries x_l^2, so w2 lies in the
@@ -595,90 +598,72 @@ def bott_verdicts(n: int, rows: Sequence[int]) -> tuple[bool, bool, bool]:
     Kahler (Ishida): n is even and every class of equal columns has even
     size.  Refining {all n columns} by each nonzero row R_i, which splits
     a class c into c & R_i and the rest, ends at those classes.  An odd
-    class always splits off an odd part and so never heals: the test
-    stops at the first odd c & R_i.  is_kahler, which groups the
-    transposed columns in a dict, is the independent twin.  An orientable
-    input returns through settle, which on Kahler inputs checks the
-    membership verdict against the closed form; Kahler columns on a
-    matrix with an odd row raise InconsistencyError.  Spin starts as the
-    orientability verdict and is only ever cleared, so it never holds
-    without it.
+    class always splits off an odd part and so never heals: the first
+    odd c & R_i returns not Kahler.  is_kahler, which groups the
+    transposed columns in a dict, is the independent twin.  A Kahler
+    input goes through settle, which checks the pair-test verdict against
+    the closed form, and returns (True, True, spin).
     """
-    orientable = True
     for r in rows:
         if r.bit_count() & 1:
-            orientable = False
+            return False, False, False
+    spin = True
+    for l in range(1, n):
+        t = rows[l] | ((rows[l].bit_count() & 2) << (l - 1))
+        if not t:
+            continue
+        for r in rows[:l]:
+            if (r & t).bit_count() & 1:
+                spin = False
+                break
+        if not spin:
             break
-    kahler = not n & 1
-    if kahler:
-        classes = [(1 << n) - 1]  # rest first: column 0, in no R_i, stays in classes[0]
-        for r in rows:
-            if not r:
-                continue
-            split = []
-            for c in classes:
-                part = c & r
-                if part.bit_count() & 1:
-                    kahler = False
-                    break
-                if part != c:
-                    split.append(c ^ part)
-                if part:
-                    split.append(part)
-            if not kahler:
-                break
-            classes = split
-    spin = orientable
-    if orientable:
-        for l in range(1, n):
-            t = rows[l] | ((rows[l].bit_count() & 2) << (l - 1))
-            if not t:
-                continue
-            for r in rows[:l]:
-                if (r & t).bit_count() & 1:
-                    spin = False
-                    break
-            if not spin:
-                break
-    if not orientable:
-        if kahler:
-            raise InconsistencyError(
-                f"Kahler columns on the non-orientable matrix {mask_line(n, rows)}"
-            )
-        return False, False, False
-    return settle(n, rows, classes if kahler else None, spin)
+    if n & 1:
+        return True, False, spin
+    classes = [(1 << n) - 1]  # rest first: column 0, in no R_i, stays in classes[0]
+    for r in rows:
+        if not r:
+            continue
+        split = []
+        for c in classes:
+            part = c & r
+            if part.bit_count() & 1:
+                return True, False, spin
+            if part != c:
+                split.append(c ^ part)
+            if part:
+                split.append(part)
+        classes = split
+    settle(n, rows, classes, spin)
+    return True, True, spin
 
 
-def settle(
-    n: int, rows: Sequence[int], classes: Optional[list[int]], spin: bool
-) -> tuple[bool, bool, bool]:
-    """(orientable, kahler, spin) of an orientable Bott matrix, from its deciders.
+def settle(n: int, rows: Sequence[int], classes: list[int], spin: bool) -> None:
+    """Check the Spin verdict of a Kahler Bott matrix against the closed form.
 
     classes are the final classes of bott_verdicts' Kahler refinement of
-    rows, the class of column 0 (the zero columns) first, or None when
-    the matrix is not Kahler; spin is the pair-test verdict.  On Kahler
-    input the closed form of spin_kahler_closed_form is evaluated (every
-    other member of a class, in index order, starts a pair), and
-    InconsistencyError is raised when it differs from spin.  bott_verdicts
-    returns through here, and the census's bottom-up walk hands it every
-    Kahler matrix with the classes and the Spin verdict it carries.
+    rows, the class of column 0 (the zero columns) first, all of even
+    size; spin is the pair-test verdict.  The closed form of
+    spin_kahler_closed_form is evaluated (every other member of a class,
+    in index order, starts a pair), and InconsistencyError is raised
+    when it differs from spin.  bott_verdicts calls it on Kahler input,
+    and the census's bottom-up walk hands it every Kahler matrix with the
+    classes and the Spin verdict it carries.
     """
-    if classes is not None:
-        reps = 0
-        for c in classes:
-            while c:  # every other member, in index order, starts a pair
-                reps |= c & -c
-                c &= c - 1
-                c &= c - 1
-        zero = classes[0]
-        spin_cf = True
-        for i, r in enumerate(rows):  # S_i even, or column i zero
-            if (r & reps).bit_count() & 1 and not zero >> i & 1:
-                spin_cf = False
-                break
-        if spin_cf != spin:
-            raise InconsistencyError(
-                f"Spin deciders disagree on {mask_line(n, rows)}: "
-                f"closed-form={spin_cf}, membership={spin}"
-            )
-    return True, classes is not None, spin
+    reps = 0
+    for c in classes:
+        while c:  # every other member, in index order, starts a pair
+            reps |= c & -c
+            c &= c - 1
+            c &= c - 1
+    zero = classes[0]
+    spin_cf = True
+    for i, r in enumerate(rows):  # S_i even, or column i zero
+        if (r & reps).bit_count() & 1 and not zero >> i & 1:
+            spin_cf = False
+            break
+    if spin_cf != spin:
+        raise InconsistencyError(
+            f"Spin deciders disagree on {mask_line(n, rows)}: "
+            f"closed-form={spin_cf}, membership={spin}"
+        )

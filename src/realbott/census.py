@@ -16,10 +16,11 @@ sets each row only from the rows that keep one of them alive.  Each
 Kahler matrix goes to settle with the walk's classes and Spin verdict and
 takes the closed-form check there, and the Spin ones that are not Kahler
 are counted by rank.  The oracle cross-checks must see every matrix, so
---check-oracles walks the full space through the kernel, bott_verdicts,
-which is also the twin the tests compare the plain walk against.  The
---emit listing depends on no verdict: run_census spells it out lazily
-from per-row text tables.
+--check-oracles walks the full space and takes each matrix through
+cross_check, the one per-matrix step it shares with verify: the kernel,
+bott_verdicts (also the twin the tests compare the plain walk against),
+then analyze and the motion routes.  The --emit listing depends on no
+verdict: run_census spells it out lazily from per-row text tables.
 
 The full walk is embarrassingly parallel: the index range splits into
 contiguous chunks, each chunk is classified on its own, and counts
@@ -107,10 +108,10 @@ class CensusConfig:
 
     With emit_matrices set, every matrix is listed in index order; the
     listing changes neither the walk nor the counts.  With check_oracles
-    set, every matrix takes the kernel and the slow routes of
-    cross_check: analyze must match the kernel's verdicts, its two Spin
-    deciders must agree on Kahler inputs, and the Euclidean-motion
-    oracle must agree with the row calculus; the first disagreement
+    set, every matrix takes cross_check: the kernel's verdicts are
+    counted, analyze must match them, its two Spin deciders must agree
+    on Kahler inputs, and the Euclidean-motion oracle must agree with
+    the row calculus; the first disagreement
     (smallest index) aborts the run with a reproducer.  That flag makes
     run_census walk the full space, split over its own worker count (see
     SHARE_BITS); else it walks the Kahler or Spin matrices bottom up, in
@@ -150,9 +151,9 @@ def matrix_at(n: int, index: int) -> BottMatrix:
 
 def enumerate_bott(n: int) -> Iterator[BottMatrix]:
     """Stream all 2^(n(n-1)/2) Bott matrices in index order."""
-    m = _check_size(n)
-    for index in range(1 << m):
-        yield matrix_at(n, index)
+    _check_size(n)
+    for rows in _full_walk(n):
+        yield BottMatrix._make(n, rows)
 
 
 @lru_cache(maxsize=None)
@@ -174,6 +175,13 @@ def _row_layout(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     return tuple(layout), table
 
 
+def _full_walk(n: int) -> Iterator[tuple[int, ...]]:
+    """The row masks of every n-matrix in index order: the product over the
+    row tables."""
+    layout, table = _row_layout(n)
+    return product(*[table[: mask + 1] for _, mask in layout])
+
+
 def _index_of(n: int, rows: Sequence[int]) -> int:
     """The full-space index of the matrix with these row masks: matrix_at's inverse."""
     layout, _ = _row_layout(n)
@@ -182,17 +190,25 @@ def _index_of(n: int, rows: Sequence[int]) -> int:
     )
 
 
-def cross_check(a: BottMatrix, verdicts: tuple[bool, bool, bool]) -> list[str]:
-    """Disagreements of the slow routes on a with the kernel's verdicts.
+def cross_check(a: BottMatrix) -> tuple[Optional[tuple[bool, bool, bool]], list[str]]:
+    """(kernel verdicts, disagreements of every route) on a: the one
+    per-matrix step of census --check-oracles and verify.
 
-    analyze (the P-matrix route, which compares the two Spin deciders
-    on Kahler inputs) must give the same (orientable, kahler, spin), the
-    generators' sign products must give the same orientability, and the
-    Euclidean-motion oracle must agree with the row calculus.  The
-    generators are built once for both motion routes.  The oracle runs
-    first, so its size guard fires before any route; its findings come last.
+    The Euclidean-motion oracle runs first, so its size guard fires
+    before any route.  Then bott_verdicts gives (orientable, kahler,
+    spin); when its own closed-form check raises, that message is the
+    only problem and the verdicts are None.  Then analyze (the P-matrix
+    route, which compares the two Spin deciders on Kahler inputs and
+    checks that a Kahler matrix is orientable) must give the same
+    verdicts, and the generators' sign products the same orientability;
+    the oracle's findings come last.  The generators are built once for
+    both motion routes.
     """
     motion_problems, gens = _check_motions(a)
+    try:
+        verdicts = bott_verdicts(a.n, a.row_masks)
+    except InconsistencyError as exc:
+        return None, [str(exc)]
     try:
         report = analyze(a)
     except InconsistencyError as exc:
@@ -211,14 +227,12 @@ def cross_check(a: BottMatrix, verdicts: tuple[bool, bool, bool]) -> list[str]:
             f"kernel and motions disagree on {a.to_line()}: "
             f"orientable = {verdicts[0]} against {by_motions}"
         )
-    return problems + motion_problems
+    return verdicts, problems + motion_problems
 
 
-def _bottom_up_walk(
-    n: int,
-) -> tuple[dict[tuple[bool, bool, bool], int], int, Optional[tuple[int, str, str]]]:
-    """(tally of settle's verdicts, Spin matrices that are not Kahler,
-    smallest offender or None) of the orientable n-matrices.
+def _bottom_up_walk(n: int) -> tuple[int, int, int, Optional[tuple[int, str, str]]]:
+    """(Kahler matrices, Spin ones among them, Spin matrices that are not
+    Kahler, smallest offender or None) of the orientable n-matrices.
 
     Depth first, rows n-1 (always zero) down to 0; row i is a subset of
     D_i = columns i+1..n-1.  With T_l as in bott_verdicts, the pair test
@@ -232,16 +246,16 @@ def _bottom_up_walk(
     basis low(c) | x for the members x of c & D_i above its lowest, and
     each carries its syndrome (image under the map) through the span.
     A node's children are V_K and the rest of V_S while each is alive.
-    On row 0 each row of V_K goes to settle, and the Spin rows that are
-    not Kahler are counted: 2^dim(V_S) less the Spin rows of V_K.  Matrices
+    On row 0 each row of V_K is counted once settle has checked its Spin
+    verdict, and the Spin rows that are not Kahler are counted:
+    2^dim(V_S) less the Spin rows of V_K.  Matrices
     are not visited in index order, so the offender with the smallest
     full-space index is kept and the walk goes on.  At odd n no matrix is
     Kahler, and the walk carries no classes.
     """
     rows = [0] * n
     cols = {1 << x: 1 for x in range(n)}
-    tally: dict[tuple[bool, bool, bool], int] = {}
-    spin_only = 0
+    kahler_leaves = kahler_spin = spin_only = 0
     offenders = []
 
     def mark(t: int, bit: int) -> None:
@@ -252,7 +266,7 @@ def _bottom_up_walk(
             t ^= low
 
     def descend(i: int, classes: Optional[list[int]], spin: bool) -> None:
-        nonlocal spin_only
+        nonlocal kahler_leaves, kahler_spin, spin_only
         domain = (1 << n) - (2 << i)
         kahler = []  # (row, syndrome) over V_K, while Kahler is alive
         if classes is not None:
@@ -302,12 +316,14 @@ def _bottom_up_walk(
                 down(i, u, refined, spin and not t)
                 continue
             rows[0] = u
+            leaf_spin = spin and not t
             try:
-                verdicts = settle(n, rows, refined, spin and not t)
+                settle(n, rows, refined, leaf_spin)
             except InconsistencyError as exc:
                 offenders.append((_index_of(n, rows), mask_line(n, rows), str(exc)))
                 continue
-            tally[verdicts] = tally.get(verdicts, 0) + 1
+            kahler_leaves += 1
+            kahler_spin += leaf_spin
         if spin and i:
             for u in spin_rows:
                 down(i, u, None, True)
@@ -322,35 +338,28 @@ def _bottom_up_walk(
         mark(t, 1 << i)
 
     descend(n - 1, None if n & 1 else [(1 << n) - 1], True)
-    return tally, spin_only, min(offenders, default=None)
+    return kahler_leaves, kahler_spin, spin_only, min(offenders, default=None)
 
 
 def _classify_range(
     n: int, start: int, stop: int
-) -> tuple[dict[tuple[bool, bool, bool], int], Optional[tuple[int, str, str]]]:
-    """Classify one contiguous range of the full index space.
+) -> tuple[Counter[tuple[bool, bool, bool]], Optional[tuple[int, str, str]]]:
+    """Cross-check one contiguous range of the full index space.
 
-    Every matrix goes through bott_verdicts and cross_check.  Returns
-    (tally of (orientable, kahler, spin) verdicts, first offender or
-    None); on an offender the range stops early, so the first offender
-    of a range is the one with the smallest index.
+    Every matrix takes one cross_check.  Returns (tally of the kernel's
+    (orientable, kahler, spin) verdicts, first offender or None); on an
+    offender the range stops early, so the first offender of a range is
+    the one with the smallest index.
     """
-    layout, table = _row_layout(n)
-    # product over the row tables yields the rows in index order; skipping
-    # to start costs about 2.4 s at the end of n = 8, where one share of
-    # this walk takes hours
-    walk = islice(product(*[table[: mask + 1] for _, mask in layout]), start, stop)
-    # a plain dict: a Counter's += here made the n = 6 census about 9% slower
-    tally: dict[tuple[bool, bool, bool], int] = {}
+    # skipping to start costs about 2.4 s at the end of n = 8, where one
+    # share of this walk takes hours
+    walk = islice(_full_walk(n), start, stop)
+    tally: Counter[tuple[bool, bool, bool]] = Counter()
     for index, rows in enumerate(walk, start):
-        try:
-            verdicts = bott_verdicts(n, rows)
-        except InconsistencyError as exc:
-            return tally, (index, mask_line(n, rows), str(exc))
-        problems = cross_check(BottMatrix._make(n, rows), verdicts)
+        verdicts, problems = cross_check(BottMatrix._make(n, rows))
         if problems:
             return tally, (index, mask_line(n, rows), problems[0])
-        tally[verdicts] = tally.get(verdicts, 0) + 1
+        tally[verdicts] += 1
     return tally, None
 
 
@@ -358,8 +367,9 @@ def run_census(cfg: CensusConfig) -> tuple[CensusRow, Iterator[str]]:
     """Classify the whole space for cfg.n; returns (counts, emitted lines).
 
     Without check_oracles, _bottom_up_walk visits the Kahler or Spin
-    matrices in process, settle takes each Kahler one with the walk's own
-    verdicts, and every other orientable matrix is counted as neither,
+    matrices in process and counts them with its own verdicts (settle
+    checks each Kahler one's Spin verdict against the closed form), and
+    every other orientable matrix is counted as neither,
     every non-orientable one as nothing at all.  With check_oracles the
     full index space splits into contiguous chunks, one per worker, whose
     results combine by addition, so the split never changes the counts;
@@ -391,14 +401,19 @@ def run_census(cfg: CensusConfig) -> tuple[CensusRow, Iterator[str]]:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_classify_range, *zip(*jobs)))
         offender = min((off for _, off in results if off is not None), default=None)
-        tally = sum((Counter(part) for part, _ in results), Counter())
+        tally = sum((part for part, _ in results), Counter())
     else:
-        part, spin_only, offender = _bottom_up_walk(cfg.n)
+        kahler_total, kahler_spin, spin_only, offender = _bottom_up_walk(cfg.n)
         walked = 1 << cell_count(cfg.n - 1)  # the orientable matrices
-        tally = Counter(part)
-        tally[(True, False, True)] += spin_only
-        tally[(True, False, False)] += walked - sum(tally.values())
-        tally[(False, False, False)] += (1 << cell_count(cfg.n)) - walked
+        tally = Counter(
+            {
+                (True, True, True): kahler_spin,
+                (True, True, False): kahler_total - kahler_spin,
+                (True, False, True): spin_only,
+                (True, False, False): walked - kahler_total - spin_only,
+                (False, False, False): (1 << cell_count(cfg.n)) - walked,
+            }
+        )
     if offender is not None:
         raise OracleDisagreementError(*offender)
 

@@ -28,7 +28,6 @@ from .bottcore import (
     PMatrix,
     analyze,
     bott_to_p,
-    bott_verdicts,
     characteristic_ideal,
     is_kahler,
     parse_bott,
@@ -175,17 +174,12 @@ def _cmd_census(args: argparse.Namespace) -> int:
         width = max(len(name) for name in names)
         for name in names:
             print(f"{name:<{width}} {getattr(row, name)}")
-    for line in emitted:
-        print(line)
+    sys.stdout.writelines(f"{line}\n" for line in emitted)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    a = parse_bott(_read(args.path))
-    try:
-        problems = cross_check(a, bott_verdicts(a.n, a.row_masks))
-    except InconsistencyError as exc:  # raised by the kernel's own checks
-        problems = [str(exc)]
+    _, problems = cross_check(parse_bott(_read(args.path)))
     print(f"1 matrix, {len(problems)} disagreements")
     for msg in problems:
         print(msg)

@@ -9,7 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from realbott import (
@@ -261,6 +261,12 @@ class TestBottToP:
         for n in (1, 2, 3, 4):
             for a in enumerate_bott(n):
                 assert pmatrix_to_bott(bott_to_p(a)) == a
+
+    def test_str_renders_rows(self, sixdim_bott, sixdim_p):
+        # one row a line, entries joined by spaces: the fixtures' own text
+        assert str(sixdim_bott) == SIXDIM_BOTT_TEXT.rstrip("\n")
+        assert str(sixdim_p) == SIXDIM_P_TEXT.rstrip("\n")
+        assert str(PMatrix(((1, 3, 0), (0, 1, 2)))) == "1 3 0\n0 1 2"
 
     def test_lift_rejects_generic(self):
         assert pmatrix_to_bott(PMatrix(((2,),))) is None
@@ -516,6 +522,15 @@ class TestCharacteristicIdeal:
                     n, [tuple(2 if k == j else 0 for k in range(n))]
                 )
             assert basis.rank == n
+
+    def test_contains_matches_spin_membership(self):
+        # on an orientable matrix Spin is exactly w2 in the span, so the
+        # basis's own membership test must give spin_membership's verdict
+        for n in (1, 2, 3, 4):
+            for a in enumerate_bott(n):
+                spin, w1, w2 = spin_membership(a)
+                if w1.is_zero:
+                    assert characteristic_ideal(bott_to_p(a)).contains(w2) == spin
 
     def test_formula_exhaustive_small_n(self):
         for n in (2, 3, 4):
@@ -893,14 +908,21 @@ def kernel_agrees(a: BottMatrix) -> bool:
 
 @st.composite
 def near_kahler(draw):
-    """A planted Kahler matrix with n <= 14 and one entry above the
-    diagonal flipped.  Column j leaves its class of equal columns and
-    joins another or none, so both classes it touches become odd."""
-    a = draw(planted_kahler(max_n=14))
-    j = draw(st.integers(1, a.n - 1))
-    i = draw(st.integers(0, j - 1))
+    """An orientable matrix that is not Kahler: a planted Kahler matrix
+    with 4 <= n <= 14 and two entries a_ij, a_ik of one row flipped.
+
+    Row i keeps its even weight.  Columns j < k differ by more than row i
+    (else both flips keep every class of equal columns even), so the new
+    columns j and k are distinct, equal to neither old one, and the class
+    column j leaves becomes odd."""
+    a = draw(planted_kahler(max_n=14).filter(lambda a: a.n >= 4))
+    i = draw(st.integers(0, a.n - 3))
+    j, k = sorted(draw(st.lists(st.integers(i + 1, a.n - 1), min_size=2, max_size=2, unique=True)))
+    col_j, col_k = (sum(a.rows[r][c] << r for r in range(a.n)) for c in (j, k))
+    assume(col_j ^ col_k not in (0, 1 << i))
     rows = [list(row) for row in a.rows]
     rows[i][j] ^= 1
+    rows[i][k] ^= 1
     return BottMatrix(tuple(map(tuple, rows)))
 
 
@@ -954,11 +976,9 @@ class TestBottVerdicts:
         # the fixture's classes of equal columns, zero columns first; S_3 is
         # odd with column 3 nonzero, so the closed form says not Spin
         rows, classes = sixdim_bott.row_masks, [0b000011, 0b001100, 0b110000]
-        assert bottcore_mod.settle(6, rows, classes, False) == (True, True, False)
+        assert bottcore_mod.settle(6, rows, classes, False) is None
         with pytest.raises(InconsistencyError, match="Spin deciders disagree"):
             bottcore_mod.settle(6, rows, classes, True)
-        # with no classes there is nothing to check the Spin verdict against
-        assert bottcore_mod.settle(6, rows, None, True) == (True, False, True)
 
     def test_matches_analyze_exhaustive_n_le_6(self, pool):
         assert exhaustive_failures(pool, kernel_matches_analyze) == []
@@ -981,23 +1001,25 @@ class TestBottVerdicts:
         [
             # a class that meets R_i keeps only its part inside R_i
             (
-                "if part != c:\n                    split.append(c ^ part)\n"
-                "                if part:\n                    split.append(part)",
+                "if part != c:\n                split.append(c ^ part)\n"
+                "            if part:\n                split.append(part)",
                 "split.append(part or c)",
-                [0, 0, 0, 9, 0, 2192],
+                [0, 0, 0, 5, 0, 106],
             ),
             # the parity test reads the class of column 0 alone
             (
                 "if part.bit_count() & 1:",
                 "if part.bit_count() & 1 and c == classes[0]:",
-                [0, 0, 0, 11, 0, 4905],
+                [0, 0, 0, 0, 0, 164],
             ),
         ],
         ids=["drops_complement", "first_class_parity"],
     )
     def test_twin_catches_refinement_mutants(self, monkeypatch, original, mutant, caught):
         # the exhaustive twin, counting a raised InconsistencyError as
-        # caught, flags both mutants of the Kahler refinement from n = 4 on
+        # caught, flags both mutants of the Kahler refinement by n = 6.  The
+        # kernel refines orientable matrices only, so every catch is a
+        # wrong verdict or a closed-form raise on an orientable matrix
         source = inspect.getsource(bottcore_mod.bott_verdicts)
         assert source.count(original) == 1
         namespace = dict(vars(bottcore_mod))
@@ -1020,8 +1042,11 @@ class TestBottVerdicts:
     @settings(max_examples=150, deadline=None)
     @given(near_kahler())
     def test_matches_analyze_near_kahler(self, a):
-        # an odd class must never heal, at sizes past the exhaustive twin
-        assert not bott_verdicts(a.n, a.row_masks)[1]
+        # an odd class must never heal, at sizes past the exhaustive twin:
+        # the matrix is orientable, so the kernel refines its columns
+        orientable, kahler, _ = bott_verdicts(a.n, a.row_masks)
+        assert orientable and not kahler
+        assert is_kahler(a) is None
         assert analyze(a).kahler is None
         assert kernel_matches_analyze(a)
 

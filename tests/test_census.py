@@ -77,19 +77,21 @@ def full_tally(n, start, stop):
 
 def plain_walk_matches(n, full):
     """Whether the bottom-up walk tallies the kernel's verdicts as the full
-    walk does (full): settle sees only Kahler matrices, and of the other
-    orientable matrices the walk counts the Spin ones, so the rest are
-    neither, and every non-orientable matrix is nothing at all."""
-    part, spin_only, offender = census_mod._bottom_up_walk(n)
+    walk does (full): it counts the Kahler matrices and the Spin ones among
+    them, and of the other orientable matrices the Spin ones, so the rest
+    are neither, and every non-orientable matrix is nothing at all."""
+    kahler, kahler_spin, spin_only, offender = census_mod._bottom_up_walk(n)
     orientable = 1 << cell_count(n - 1)
-    walked = Counter(part) + Counter(
+    walked = Counter(
         {
+            (True, True, True): kahler_spin,
+            (True, True, False): kahler - kahler_spin,
             (True, False, True): spin_only,
-            (True, False, False): orientable - sum(part.values()) - spin_only,
+            (True, False, False): orientable - kahler - spin_only,
             (False, False, False): (1 << cell_count(n)) - orientable,
         }
     )
-    return offender is None and all(kahler for _, kahler, _ in part) and walked == full
+    return offender is None and walked == full
 
 
 @pytest.fixture
@@ -197,7 +199,7 @@ class TestRunCensus:
         # the guard refuses n >= 8 (see test_cli); n = 7 still classifies
         # (the walk is stubbed: one Spin matrix) and lists the product of
         # its seven row tables (stubbed: 2^21 lines take 0.5 s)
-        monkeypatch.setattr(census_mod, "_bottom_up_walk", lambda n: ({}, 1, None))
+        monkeypatch.setattr(census_mod, "_bottom_up_walk", lambda n: (0, 0, 1, None))
         sizes = []
 
         def listing(*texts):
@@ -217,7 +219,7 @@ class TestRunCensus:
 
         def stub(*args):
             calls.append(args)
-            return {}, 1 << 28, None
+            return 0, 0, 1 << 28, None
 
         monkeypatch.setattr(census_mod, "_bottom_up_walk", stub)
         row, _ = run_census(CensusConfig(n=9))
@@ -410,22 +412,18 @@ class TestRangeWalk:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_cut_points_inside_fields(self, monkeypatch, n, kind):
         # cuts at total * c // 7 fall inside row fields; cross_check is a
-        # stub that flags planted matrices, so only the walk is under test.
-        # The kernel sees every matrix once
+        # stub that gives the kernel's verdicts and flags planted matrices,
+        # so only the walk is under test.  It sees every matrix once
         total = 1 << cell_count(n)
         cuts = [total * c // 7 for c in range(8)]
         seen = []
         planted = set()
-        real_kernel = census_mod.bott_verdicts
 
-        def spy(n, rows):
-            seen.append(tuple(rows))
-            return real_kernel(n, rows)
+        def stub(a):
+            seen.append(a.row_masks)
+            verdicts = bott_verdicts(a.n, a.row_masks)
+            return verdicts, ["planted"] if a.row_masks in planted else []
 
-        def stub(a, verdicts):
-            return ["planted"] if a.row_masks in planted else []
-
-        monkeypatch.setattr(census_mod, "bott_verdicts", spy)
         monkeypatch.setattr(census_mod, "cross_check", stub)
         whole = self.walk(n, [0, total])
         decoded = [decoded_rows(n, i) for i in range(total)]
@@ -473,9 +471,8 @@ def full_walk_of(n):
 def kahler_twins_agree(n):
     """Whether the bottom-up walk's kahler and kahler_and_spin counts at even
     n equal kahler_count's and kahler_walk's, with no offender."""
-    part, _, offender = census_mod._bottom_up_walk(n)
-    counts = (sum(part.values()), part.get((True, True, True), 0))
-    return offender is None and counts == (kahler_count(n), kahler_walk(n)[1])
+    kahler, kahler_spin, _, offender = census_mod._bottom_up_walk(n)
+    return offender is None and (kahler, kahler_spin) == (kahler_count(n), kahler_walk(n)[1])
 
 
 class TestSkipRule:
@@ -751,15 +748,19 @@ class TestDisagreementAbort:
         assert pool_sizes == ([cpus] if cpus > 1 else [])
 
     def test_check_oracles_catches_wrong_kernel_verdict(self, monkeypatch):
-        # a settle and a kernel that miscount without raising pass the plain
-        # path; under check_oracles analyze disagrees with the kernel
+        # a kernel that miscounts without raising leaves the plain path as
+        # it is, since that path counts with the walk's own verdicts and
+        # settle only checks them; under check_oracles analyze disagrees
+        # with the kernel
         def flipped(real, n, rows, *state):
-            orientable, kahler, spin = real(n, rows, *state)
+            if state:  # settle: no verdict to flip
+                return real(n, rows, *state)
+            orientable, kahler, spin = real(n, rows)
             return orientable, kahler, not spin
 
         self.sabotage(monkeypatch, flipped)
         row, _ = run_census(CensusConfig(n=4))
-        assert row.spin == 8 - len(self.bad_orientable)  # both are Kahler and Spin
+        assert row.spin == 8  # the bad matrices are both Kahler and Spin
         self.assert_aborts_at(
             CensusConfig(n=4, check_oracles=True), 30, "kernel and analyze disagree"
         )
@@ -781,8 +782,10 @@ class TestDisagreementAbort:
 
 class TestCrossCheck:
     """cross_check on README's six-dimensional fixture, which is orientable,
-    Kahler and not Spin: findings come back in a fixed order, analyze's
-    first, then the motions' orientability, then the motion oracle's."""
+    Kahler and not Spin: it returns the kernel's verdicts, and findings
+    come back in a fixed order, analyze's first, then the motions'
+    orientability, then the motion oracle's.  Wrong verdicts come from a
+    patched kernel."""
 
     line = "001111/001111/000011/000011/000000/000000"
     wrong = (False, True, False)
@@ -792,34 +795,53 @@ class TestCrossCheck:
     )
     motions_msg = f"kernel and motions disagree on {line}: orientable = False against True"
 
+    @pytest.fixture
+    def wrong_kernel(self, monkeypatch):
+        monkeypatch.setattr(census_mod, "bott_verdicts", lambda n, rows: self.wrong)
+
     def test_kernel_verdicts_agree(self, sixdim_bott):
-        verdicts = census_mod.bott_verdicts(sixdim_bott.n, sixdim_bott.row_masks)
-        assert verdicts == (True, True, False)
-        assert census_mod.cross_check(sixdim_bott, verdicts) == []
+        assert census_mod.cross_check(sixdim_bott) == ((True, True, False), [])
 
-    def test_wrong_verdicts_in_order(self, sixdim_bott):
-        assert census_mod.cross_check(sixdim_bott, self.wrong) == [
-            self.analyze_msg,
-            self.motions_msg,
-        ]
+    def test_wrong_verdicts_in_order(self, sixdim_bott, wrong_kernel):
+        assert census_mod.cross_check(sixdim_bott) == (
+            self.wrong,
+            [self.analyze_msg, self.motions_msg],
+        )
 
-    def test_analyze_error_comes_first(self, sixdim_bott, monkeypatch):
+    def test_analyze_error_comes_first(self, sixdim_bott, wrong_kernel, monkeypatch):
         def raising(a):
             raise InconsistencyError("injected analyze fault")
 
         monkeypatch.setattr(census_mod, "analyze", raising)
-        assert census_mod.cross_check(sixdim_bott, self.wrong) == [
-            "injected analyze fault",
-            self.motions_msg,
-        ]
+        assert census_mod.cross_check(sixdim_bott) == (
+            self.wrong,
+            ["injected analyze fault", self.motions_msg],
+        )
 
-    def test_oracle_finding_comes_last(self, sixdim_bott, monkeypatch):
+    def test_oracle_finding_comes_last(self, sixdim_bott, wrong_kernel, monkeypatch):
         monkeypatch.setattr(census_mod, "_check_motions", lambda a: (["oracle finding"], generators(a)))
-        assert census_mod.cross_check(sixdim_bott, self.wrong) == [
-            self.analyze_msg,
-            self.motions_msg,
-            "oracle finding",
-        ]
+        assert census_mod.cross_check(sixdim_bott) == (
+            self.wrong,
+            [self.analyze_msg, self.motions_msg, "oracle finding"],
+        )
+
+    def test_kernel_error_is_the_only_finding(self, sixdim_bott, monkeypatch):
+        # the oracle still runs first, for its size guard, but a kernel that
+        # raises leaves no verdicts for analyze or the motions to disagree with
+        calls = []
+
+        def raising(n, rows):
+            raise InconsistencyError("injected kernel fault")
+
+        def oracle(a):
+            calls.append("oracle")
+            return ["oracle finding"], generators(a)
+
+        monkeypatch.setattr(census_mod, "bott_verdicts", raising)
+        monkeypatch.setattr(census_mod, "_check_motions", oracle)
+        monkeypatch.setattr(census_mod, "analyze", lambda a: calls.append("analyze"))
+        assert census_mod.cross_check(sixdim_bott) == (None, ["injected kernel fault"])
+        assert calls == ["oracle"]
 
 
 class TestWorkerCap:

@@ -129,6 +129,25 @@ class TestCheck:
         assert report["kahler"] is True
         assert report["pairing"] == [[1, 2]]
 
+    def test_sixdim_human(self, capsys, sixdim_bott_file):
+        # the text report of the README's fixture: every field, the pairing
+        # and the S-vector included, with keys padded to one width
+        code, out, _ = run(capsys, "check", sixdim_bott_file)
+        assert code == 0
+        assert out.splitlines() == [
+            "dimension     6",
+            "free          true",
+            "holonomyFull  false",
+            "orientable    true",
+            "w1            0",
+            "w2            x3^2 + x4^2",
+            "kahler        true",
+            "pairing       (1,2) (3,4) (5,6)",
+            "sVector       0 0 1 1 0 0",
+            "spin          false",
+            "spinMethod    both-agree",
+        ]
+
     def test_klein_human(self, capsys, klein_file):
         code, out, _ = run(capsys, "check", klein_file)
         assert code == 0
@@ -451,7 +470,7 @@ class TestVerify:
         # Spin deciders, the kernel, and the motion oracle
         calls = []
         real_analyze = census_mod.analyze
-        real_kernel = cli_mod.bott_verdicts
+        real_kernel = census_mod.bott_verdicts
 
         def counted_analyze(a):
             calls.append("analyze")
@@ -462,7 +481,7 @@ class TestVerify:
             return real_kernel(n, rows)
 
         monkeypatch.setattr(census_mod, "analyze", counted_analyze)
-        monkeypatch.setattr(cli_mod, "bott_verdicts", counted_kernel)
+        monkeypatch.setattr(census_mod, "bott_verdicts", counted_kernel)
         code, out, _ = run(capsys, "verify", sixdim_bott_file)
         assert code == 0
         assert out.strip() == "1 matrix, 0 disagreements"
@@ -498,6 +517,19 @@ class TestVerify:
             "closed-form=True, membership=False",
         ]
 
+    def test_single_file_kernel_raises(self, capsys, sixdim_bott_file, monkeypatch):
+        # the kernel's closed-form check raising is the one disagreement
+        def raising(n, rows):
+            raise InconsistencyError("injected kernel fault")
+
+        monkeypatch.setattr(census_mod, "bott_verdicts", raising)
+        code, out, _ = run(capsys, "verify", sixdim_bott_file)
+        assert code == 1
+        assert out.splitlines() == [
+            "1 matrix, 1 disagreements",
+            "injected kernel fault",
+        ]
+
     def test_single_file_sabotaged_orientability_route(
         self, capsys, sixdim_bott_file, monkeypatch
     ):
@@ -526,12 +558,13 @@ class TestVerify:
 
     def test_single_file_size_guard_before_any_route(self, capsys, tmp_path, monkeypatch):
         # the oracle's guard fires before the generators are built and before
-        # analyze and the orientability route, so a large matrix costs
-        # nothing beyond its parse and the kernel
-        def never(arg):
+        # the kernel, analyze and the orientability route, so a large matrix
+        # costs nothing beyond its parse
+        def never(*args):
             raise AssertionError("a route ran before the size guard")
 
         monkeypatch.setattr(euclid_mod, "generators", never)
+        monkeypatch.setattr(census_mod, "bott_verdicts", never)
         monkeypatch.setattr(census_mod, "analyze", never)
         monkeypatch.setattr(census_mod, "_orientable", never)
         path = tmp_path / "zero21.txt"
