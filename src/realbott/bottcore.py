@@ -600,9 +600,15 @@ def bott_verdicts(n: int, rows: Sequence[int]) -> tuple[bool, bool, bool]:
     a class c into c & R_i and the rest, ends at those classes.  An odd
     class always splits off an odd part and so never heals: the first
     odd c & R_i returns not Kahler.  is_kahler, which groups the
-    transposed columns in a dict, is the independent twin.  A Kahler
-    input goes through settle, which checks the pair-test verdict against
-    the closed form, and returns (True, True, spin).
+    transposed columns in a dict, is the independent twin.
+
+    A Kahler input goes to settle as a node with one leaf, (rows[0],
+    spin), and the final classes.  settle's lemma, that row 0 splits
+    each even class of rows 1..n-1 into two even parts and so leaves
+    every S_l with l >= 1 as it is, while column 0, always zero, exempts
+    row 0, holds here too: rows[0] meets each final class fully or not
+    at all.  A disagreement settle reports is raised as
+    InconsistencyError; else the kernel returns (True, True, spin).
     """
     for r in rows:
         if r.bit_count() & 1:
@@ -634,21 +640,36 @@ def bott_verdicts(n: int, rows: Sequence[int]) -> tuple[bool, bool, bool]:
             if part:
                 split.append(part)
         classes = split
-    settle(n, rows, classes, spin)
+    found = settle(n, rows, classes, [(rows[0], spin)])
+    if found:
+        raise InconsistencyError(found[0][1])
     return True, True, spin
 
 
-def settle(n: int, rows: Sequence[int], classes: list[int], spin: bool) -> None:
-    """Check the Spin verdict of a Kahler Bott matrix against the closed form.
+def settle(
+    n: int, rows: Sequence[int], classes: list[int], leaves: Sequence[tuple[int, bool]]
+) -> list[tuple[int, str]]:
+    """Check the Spin verdicts of the Kahler completions of rows 1..n-1
+    against the closed form; returns (row 0, message) of each leaf where
+    they differ.
 
-    classes are the final classes of bott_verdicts' Kahler refinement of
-    rows, the class of column 0 (the zero columns) first, all of even
-    size; spin is the pair-test verdict.  The closed form of
-    spin_kahler_closed_form is evaluated (every other member of a class,
-    in index order, starts a pair), and InconsistencyError is raised
-    when it differs from spin.  bott_verdicts calls it on Kahler input,
-    and the census's bottom-up walk hands it every Kahler matrix with the
-    classes and the Spin verdict it carries.
+    classes are the classes of equal columns of rows 1..n-1 (rows[0] is
+    not read), the class of column 0 first, all of even size; each leaf
+    is (u, spin): a Kahler row 0 u, so every |c & u| is even, with the
+    pair-test verdict of the matrix (u, rows[1], ..).  A finer partition
+    whose classes u meets fully or not at all, such as bott_verdicts'
+    final classes, serves as well.  The message is the "Spin deciders
+    disagree" text that bott_verdicts raises.
+
+    The closed form of spin_kahler_closed_form takes every other member
+    of each final class, in index order, as a representative.  u splits
+    each class c into two even parts, and each part gives half its
+    members, so for l >= 1, where R_l is a union of classes,
+    |R_l & reps| is the sum of |c|/2 over the classes c in R_l, the
+    same for every leaf.  Row 0 never fails, as column 0 is zero.  So
+    with bad = {l >= 1 : S_l odd}, read once off every other member of
+    each class, leaf u is Spin iff every column of bad is zero, that is
+    bad lies in classes[0] less u: one test per leaf.
     """
     reps = 0
     for c in classes:
@@ -656,14 +677,15 @@ def settle(n: int, rows: Sequence[int], classes: list[int], spin: bool) -> None:
             reps |= c & -c
             c &= c - 1
             c &= c - 1
-    zero = classes[0]
-    spin_cf = True
-    for i, r in enumerate(rows):  # S_i even, or column i zero
-        if (r & reps).bit_count() & 1 and not zero >> i & 1:
-            spin_cf = False
-            break
-    if spin_cf != spin:
-        raise InconsistencyError(
-            f"Spin deciders disagree on {mask_line(n, rows)}: "
-            f"closed-form={spin_cf}, membership={spin}"
-        )
+    bad = 0
+    for l in range(1, n):
+        if (rows[l] & reps).bit_count() & 1:
+            bad |= 1 << l
+    nonzero = bad & ~classes[0]  # when set, no leaf is Spin
+    found = []
+    for u, spin in leaves:
+        if spin == bool(nonzero or bad & u):  # the closed form says not spin
+            line = mask_line(n, (u, *rows[1:]))
+            message = f"closed-form={not spin}, membership={spin}"
+            found.append((u, f"Spin deciders disagree on {line}: {message}"))
+    return found

@@ -13,9 +13,10 @@ total.  The plain census therefore walks the Kahler or Spin matrices
 alone, bottom up (see _bottom_up_walk): read from the last row up, "still
 Spin" and "still Kahler" are linear conditions on the next row, so it
 sets each row only from the rows that keep one of them alive.  Each
-Kahler matrix goes to settle with the walk's classes and Spin verdict and
-takes the closed-form check there, and the Spin ones that are not Kahler
-are counted by rank.  The oracle cross-checks must see every matrix, so
+Kahler matrix takes the closed-form check of settle, which checks all
+the Kahler completions of one set of rows 1..n-1 at once, since row 0
+cannot change their S-vector, and the Spin ones that are not Kahler are
+counted by rank.  The oracle cross-checks must see every matrix, so
 --check-oracles walks the full space and takes each matrix through
 cross_check, the one per-matrix step it shares with verify: the kernel,
 bott_verdicts (also the twin the tests compare the plain walk against),
@@ -55,11 +56,12 @@ __all__ = [
 # Size guards.  The full walk, and with it matrix_at, enumerate_bott and
 # --check-oracles, indexes at most 2^28 matrices: n = 8 (28 free cells).
 # The plain census visits only the matrices that are Kahler or Spin, and
-# the rows on the way to them: n = 9 takes about 0.08 s in process on a
-# 2-vCPU host, and n = 10 (18 million Kahler matrices, each settled),
-# about 40 s, is refused.
+# the rows on the way to them: in process on a 2-vCPU host n = 9 takes
+# about 0.08 s and n = 10 (18 million Kahler matrices, settled a row-1
+# node at a time) 11-14 s.  n = 11, with 2^45 orientable matrices
+# and its time not measured, is refused.
 MAX_WALK_BITS = 28
-MAX_CENSUS_N = 9
+MAX_CENSUS_N = 10
 # run_census streams the --emit listing, so its limit bounds output, not
 # memory: at n = 8 it would be 2^28 lines of 71 characters, about 19 GB.
 MAX_EMIT_N = 7
@@ -246,9 +248,10 @@ def _bottom_up_walk(n: int) -> tuple[int, int, int, Optional[tuple[int, str, str
     basis low(c) | x for the members x of c & D_i above its lowest, and
     each carries its syndrome (image under the map) through the span.
     A node's children are V_K and the rest of V_S while each is alive.
-    On row 0 each row of V_K is counted once settle has checked its Spin
-    verdict, and the Spin rows that are not Kahler are counted:
-    2^dim(V_S) less the Spin rows of V_K.  Matrices
+    On row 0 the rows of V_K, each with its Spin verdict, go to settle
+    together with the classes of rows 1..n-1, which it needs to refine
+    for no leaf, and are counted; the Spin rows that are not Kahler are
+    counted too: 2^dim(V_S) less the Spin rows of V_K.  Matrices
     are not visited in index order, so the offender with the smallest
     full-space index is kept and the walk goes on.  At odd n no matrix is
     Kahler, and the walk carries no classes.
@@ -297,11 +300,21 @@ def _bottom_up_walk(n: int) -> tuple[int, int, int, Optional[tuple[int, str, str
                 elif i:
                     spin_rows += [u ^ row for u in spin_rows]
                 x <<= 1
+        if not i:  # row 0: the Kahler leaves settled, the Spin-only ones counted
+            leaves = [(u, spin and not t) for u, t in kahler]
+            if leaves:
+                for u, message in settle(n, rows, classes, leaves):
+                    rows[0] = u
+                    offenders.append((_index_of(n, rows), mask_line(n, rows), message))
+            spin_leaves = sum([leaf_spin for _, leaf_spin in leaves])
+            kahler_leaves += len(leaves)
+            kahler_spin += spin_leaves
+            if spin:  # 2^dim(V_S) less the Spin rows of V_K
+                spin_only += (1 << (n - 1 - len(pivots))) - spin_leaves
+            return
+        if spin:
             both = {u for u, t in kahler if not t}
-            if not i:  # only counted: 2^dim(V_S) less the Spin rows of V_K
-                spin_only += (1 << (n - 1 - len(pivots))) - len(both)
-            else:
-                spin_rows = [u for u in spin_rows if u not in both]
+            spin_rows = [u for u in spin_rows if u not in both]
         for u, t in kahler:
             refined = classes
             if u:
@@ -312,19 +325,8 @@ def _bottom_up_walk(n: int) -> tuple[int, int, int, Optional[tuple[int, str, str
                         refined.append(c ^ part)
                     if part:
                         refined.append(part)
-            if i:
-                down(i, u, refined, spin and not t)
-                continue
-            rows[0] = u
-            leaf_spin = spin and not t
-            try:
-                settle(n, rows, refined, leaf_spin)
-            except InconsistencyError as exc:
-                offenders.append((_index_of(n, rows), mask_line(n, rows), str(exc)))
-                continue
-            kahler_leaves += 1
-            kahler_spin += leaf_spin
-        if spin and i:
+            down(i, u, refined, spin and not t)
+        if spin:
             for u in spin_rows:
                 down(i, u, None, True)
 

@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import FrozenInstanceError
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -960,6 +961,36 @@ def exhaustive_failures(pool, check) -> list[str]:
     return [line for part in pool.map(failures, jobs) for line in part]
 
 
+@lru_cache(maxsize=None)
+def kahler_nodes(n: int) -> dict[tuple[int, ...], list[tuple[int, bool]]]:
+    """Rows 1..n-1 -> [(row 0, closed-form Spin verdict)] of the Kahler
+    n-matrices, found by is_kahler over the full space and judged by
+    spin_kahler_closed_form."""
+    nodes: dict[tuple[int, ...], list[tuple[int, bool]]] = {}
+    for a in enumerate_bott(n):
+        pairing = is_kahler(a)
+        if pairing is not None:
+            leaf = (a.row_masks[0], spin_kahler_closed_form(a, pairing)[0])
+            nodes.setdefault(a.row_masks[1:], []).append(leaf)
+    return nodes
+
+
+def settle_disagreements(n: int) -> int:
+    """Kahler n-matrices whose closed-form verdict settle reports as a
+    disagreement when it takes each row-1 node with all its Kahler
+    completions at once.  A node's classes group the columns by their
+    entries in rows 1..n-1, the class of column 0 first."""
+    found = 0
+    for tail, leaves in kahler_nodes(n).items():
+        groups: dict[tuple[int, ...], int] = {}
+        for j in range(n):
+            key = tuple([r >> j & 1 for r in tail])
+            groups[key] = groups.get(key, 0) | 1 << j
+        classes = sorted(groups.values(), key=lambda c: c & -c)
+        found += len(bottcore_mod.settle(n, (0, *tail), classes, leaves))
+    return found
+
+
 class TestBottVerdicts:
     """The bitmask kernel against analyze, its polynomial twin."""
 
@@ -974,11 +1005,29 @@ class TestBottVerdicts:
 
     def test_settle_checks_the_closed_form(self, sixdim_bott):
         # the fixture's classes of equal columns, zero columns first; S_3 is
-        # odd with column 3 nonzero, so the closed form says not Spin
+        # odd with column 3 nonzero, so the closed form says not Spin, and a
+        # leaf that claims Spin comes back with the kernel's message
         rows, classes = sixdim_bott.row_masks, [0b000011, 0b001100, 0b110000]
-        assert bottcore_mod.settle(6, rows, classes, False) is None
-        with pytest.raises(InconsistencyError, match="Spin deciders disagree"):
-            bottcore_mod.settle(6, rows, classes, True)
+        assert bottcore_mod.settle(6, rows, classes, [(rows[0], False)]) == []
+        assert bottcore_mod.settle(6, rows, classes, [(rows[0], True)]) == [
+            (
+                rows[0],
+                "Spin deciders disagree on 001111/001111/000011/000011/000000/000000: "
+                "closed-form=False, membership=True",
+            )
+        ]
+        # one row-1 node with rows 1..5 = 000011/000000/..., whose classes
+        # are {0, 1, 2, 3} and {4, 5}: S_1 is odd whatever row 0 is, so a
+        # leaf is Spin iff it leaves column 1 zero.  Every leaf that
+        # disagrees comes back, in the order given
+        rows, classes = (0, 0b110000, 0, 0, 0, 0), [0b001111, 0b110000]
+        leaves = [(0b000110, True), (0b001100, True), (0b110110, False), (0, False)]
+        found = bottcore_mod.settle(6, rows, classes, leaves)
+        assert [u for u, _ in found] == [0b000110, 0]
+        assert found[1][1] == (
+            "Spin deciders disagree on 000000/000011/000000/000000/000000/000000: "
+            "closed-form=True, membership=False"
+        )
 
     def test_matches_analyze_exhaustive_n_le_6(self, pool):
         assert exhaustive_failures(pool, kernel_matches_analyze) == []
@@ -1004,7 +1053,7 @@ class TestBottVerdicts:
                 "if part != c:\n                split.append(c ^ part)\n"
                 "            if part:\n                split.append(part)",
                 "split.append(part or c)",
-                [0, 0, 0, 5, 0, 106],
+                [0, 0, 0, 2, 0, 124],
             ),
             # the parity test reads the class of column 0 alone
             (
@@ -1027,6 +1076,43 @@ class TestBottVerdicts:
         monkeypatch.setattr(bottcore_mod, "bott_verdicts", namespace["bott_verdicts"])
         jobs = [(kernel_agrees, n, 0, 1 << (n * (n - 1) // 2)) for n in range(1, 7)]
         assert [len(failures(job)) for job in jobs] == caught
+
+    def test_kernel_settles_its_one_leaf(self, monkeypatch, sixdim_bott):
+        # a Kahler input reaches settle as a node of one leaf, (row 0, the
+        # pair-test verdict), with the final classes, and the first
+        # disagreement settle reports is raised as it stands
+        calls = []
+
+        def reporting(n, rows, classes, leaves):
+            calls.append((n, tuple(rows), classes, leaves))
+            return [(rows[0], "reported"), (rows[0], "second")]
+
+        monkeypatch.setattr(bottcore_mod, "settle", reporting)
+        rows = sixdim_bott.row_masks
+        with pytest.raises(InconsistencyError, match="^reported$"):
+            bott_verdicts(6, rows)
+        assert calls == [(6, rows, [0b000011, 0b001100, 0b110000], [(rows[0], False)])]
+
+    def test_settle_matches_closed_form_exhaustive_n_le_6(self):
+        assert [settle_disagreements(n) for n in range(1, 7)] == [0] * 6
+
+    @pytest.mark.parametrize(
+        "original, mutant, caught",
+        [
+            # no zero column exempts an odd S_l
+            ("nonzero = bad & ~classes[0]", "nonzero = bad", [0, 0, 0, 2, 0, 52]),
+            # the columns row 0 makes nonzero are forgotten
+            ("bool(nonzero or bad & u)", "bool(nonzero)", [0, 0, 0, 0, 0, 76]),
+        ],
+        ids=["without_zero_columns", "without_leaf_row"],
+    )
+    def test_settle_twin_catches_mutants(self, monkeypatch, original, mutant, caught):
+        source = inspect.getsource(bottcore_mod.settle)
+        assert source.count(original) == 1
+        namespace = dict(vars(bottcore_mod))
+        exec(source.replace(original, mutant), namespace)
+        monkeypatch.setattr(bottcore_mod, "settle", namespace["settle"])
+        assert [settle_disagreements(n) for n in range(1, 7)] == caught
 
     @settings(max_examples=150, deadline=None)
     @given(bott_matrices())

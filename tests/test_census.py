@@ -10,6 +10,7 @@ from functools import lru_cache
 import pytest
 
 from realbott import (
+    BottMatrix,
     CensusConfig,
     CensusRow,
     CSV_HEADER,
@@ -19,9 +20,11 @@ from realbott import (
     bott_verdicts,
     enumerate_bott,
     generators,
+    is_kahler,
     matrix_at,
     parse_bott,
     run_census,
+    spin_kahler_closed_form,
 )
 import realbott.census as census_mod
 from realbott.bottcore import mask_line
@@ -226,11 +229,25 @@ class TestRunCensus:
         assert calls == [(9,)]
         assert (row.total, row.orientable, row.spin) == (1 << 36, 1 << 28, 1 << 28)
 
+    def test_plain_guard_allows_n10(self, monkeypatch):
+        # 2^36 orientable matrices of 2^45; the walk itself is stubbed (the
+        # real n = 10 walk takes 11-14 s and runs in CI)
+        calls = []
+
+        def stub(*args):
+            calls.append(args)
+            return 0, 0, 0, None
+
+        monkeypatch.setattr(census_mod, "_bottom_up_walk", stub)
+        row, _ = run_census(CensusConfig(n=10))
+        assert calls == [(10,)]
+        assert (row.total, row.orientable, row.spin) == (1 << 45, 1 << 36, 0)
+
     @pytest.mark.parametrize(
-        "cfg", [CensusConfig(n=10), CensusConfig(n=9, check_oracles=True)]
+        "cfg", [CensusConfig(n=11), CensusConfig(n=9, check_oracles=True)]
     )
     def test_guard_refuses_before_any_walk(self, monkeypatch, cfg):
-        # the plain census stops at n = 9, the full walk at n = 8
+        # the plain census stops at n = 10, the full walk at n = 8
         def never(*args):
             raise AssertionError("a walk ran past the size guard")
 
@@ -300,16 +317,20 @@ class TestRunCensus:
         assert plain_walk_matches(n, sum(full_walk_pool.map(full_tally, *zip(*jobs)), Counter()))
 
     def test_plain_walk_skips_non_orientable(self, monkeypatch):
-        # on the plain walk settle sees each Kahler matrix once, in the
-        # walk's own order, and nothing else: the walk counts the other
+        # on the plain walk settle sees each Kahler matrix once, as a leaf
+        # of its row-1 node, and nothing else: the walk counts the other
         # orientable matrices without decoding them, and never calls the
         # kernel
         seen = []
         real_kernel, real_settle = census_mod.bott_verdicts, census_mod.settle
 
-        def spy(n, rows, *state):
+        def spy(n, rows, classes, leaves):
+            seen.extend((u, *rows[1:]) for u, _ in leaves)
+            return real_settle(n, rows, classes, leaves)
+
+        def kernel_spy(n, rows):
             seen.append(tuple(rows))
-            return (real_settle if state else real_kernel)(n, rows, *state)
+            return real_kernel(n, rows)
 
         def never(n, rows):
             raise AssertionError("the plain walk called bott_verdicts")
@@ -333,7 +354,7 @@ class TestRunCensus:
         seen.clear()
         run_census(CensusConfig(n=4, emit_matrices=True))
         assert Counter(seen) == reached[4]
-        monkeypatch.setattr(census_mod, "bott_verdicts", spy)
+        monkeypatch.setattr(census_mod, "bott_verdicts", kernel_spy)
         seen.clear()
         run_census(CensusConfig(n=4, check_oracles=True))
         assert seen == [a.row_masks for a in enumerate_bott(4)]
@@ -444,15 +465,15 @@ class TestRangeWalk:
 
 @pytest.fixture(scope="module")
 def plain_census():
-    """n -> (row, settle calls) of the plain census for n = 1..8, with a
-    counting settle."""
+    """n -> (row, leaves settle sees) of the plain census for n = 1..8,
+    with a counting settle."""
     results = {}
     calls = Counter()
     real_settle = census_mod.settle
 
-    def counting(n, rows, classes, spin):
-        calls[n] += 1
-        return real_settle(n, rows, classes, spin)
+    def counting(n, rows, classes, leaves):
+        calls[n] += len(leaves)
+        return real_settle(n, rows, classes, leaves)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(census_mod, "settle", counting)
@@ -477,26 +498,28 @@ def kahler_twins_agree(n):
 
 class TestSkipRule:
     """The bottom-up walk sets each row only from the rows that keep Kahler
-    or Spin alive, so settle sees exactly the Kahler matrices, and the Spin
-    ones that are not Kahler are counted by rank."""
+    or Spin alive, so settle sees exactly the Kahler matrices as its
+    leaves, and the Spin ones that are not Kahler are counted by rank."""
 
     def test_kernel_calls(self, plain_census):
         # settle, the closed-form check, on the 192 Kahler matrices of the
-        # 1,024 orientable ones at n = 6, and on all 28,464 at n = 8
+        # 1,024 orientable ones at n = 6, and on all 28,464 at n = 8, each
+        # a leaf of its row-1 node
         for n, (row, calls) in plain_census.items():
             assert calls == row.kahler
         assert plain_census[6][1] == 192
         assert plain_census[8][1] == 28464
 
     @pytest.mark.parametrize(
-        "original, mutant, twin, kahler_twins, census6",
+        "target, original, mutant, twin, kahler_twins, census6",
         [
             # Spin-only rows never set, so their subtrees lose their Spin matrices
-            ("down(i, u, None, True)", "pass", [3, 5, 6], [], None),
+            ("_bottom_up_walk", "down(i, u, None, True)", "pass", [3, 5, 6], [], None),
             # a Spin row space without the all-ones constraint: odd rows count as Spin
-            ("1 << x: 1 for x", "1 << x: 0 for x", [2, 3, 4, 5, 6], [], None),
+            ("_bottom_up_walk", "1 << x: 1 for x", "1 << x: 0 for x", [2, 3, 4, 5, 6], [], None),
             # a Kahler row space without the zero class: rows meeting it are lost
             (
+                "_bottom_up_walk",
                 "for c in classes:\n                c &= domain",
                 "for c in classes[1:]:\n                c &= domain",
                 [4, 6],
@@ -504,9 +527,17 @@ class TestSkipRule:
                 None,
             ),
             # T_l without column l for r_l = 2 mod 4
-            ("u | ((u.bit_count() & 2) << (i - 1))", "u", [4, 5, 6], [6], "Spin deciders disagree"),
+            (
+                "_bottom_up_walk",
+                "u | ((u.bit_count() & 2) << (i - 1))",
+                "u",
+                [4, 5, 6],
+                [6],
+                "Spin deciders disagree",
+            ),
             # the Kahler refinement of bott_verdicts' drops_complement mutant
             (
+                "_bottom_up_walk",
                 "if part != c:\n                        refined.append(c ^ part)\n"
                 "                    if part:\n                        refined.append(part)",
                 "refined.append(part or c)",
@@ -515,9 +546,41 @@ class TestSkipRule:
                 "Spin deciders disagree",
             ),
             # the Spin rows of the Kahler row space counted again by rank
-            ("(1 << (n - 1 - len(pivots))) - len(both)", "1 << (n - 1 - len(pivots))", [2, 4, 6], [], None),
+            (
+                "_bottom_up_walk",
+                "(1 << (n - 1 - len(pivots))) - spin_leaves",
+                "1 << (n - 1 - len(pivots))",
+                [2, 4, 6],
+                [],
+                None,
+            ),
             # the Spin rows of the Kahler row space walked again as not Kahler
-            ("spin_rows = [u for u in spin_rows if u not in both]", "pass", [2, 4, 6], [], None),
+            (
+                "_bottom_up_walk",
+                "spin_rows = [u for u in spin_rows if u not in both]",
+                "pass",
+                [2, 4, 6],
+                [],
+                None,
+            ),
+            # a closed form that no zero column exempts: S_l odd fails every leaf
+            (
+                "settle",
+                "nonzero = bad & ~classes[0]",
+                "nonzero = bad",
+                [4, 6],
+                [4, 6],
+                "Spin deciders disagree",
+            ),
+            # a closed form that forgets the columns row 0 makes nonzero
+            (
+                "settle",
+                "bool(nonzero or bad & u)",
+                "bool(nonzero)",
+                [6],
+                [6],
+                "Spin deciders disagree",
+            ),
         ],
         ids=[
             "kahler_alone",
@@ -527,22 +590,26 @@ class TestSkipRule:
             "drops_complement",
             "spin_count_with_kahler_rows",
             "spin_walk_with_kahler_rows",
+            "settle_without_zero_columns",
+            "settle_without_leaf_row",
         ],
     )
     def test_twins_catch_walk_mutants(
-        self, monkeypatch, original, mutant, twin, kahler_twins, census6
+        self, monkeypatch, target, original, mutant, twin, kahler_twins, census6
     ):
         # n <= 6 where the full-walk twin (test_orientable_walk_matches_full_walk)
         # fails, and even n <= 6 where kahler_count or kahler_walk disagrees
         # with the walk's kahler or kahler_and_spin count.  The walk's own
         # Kahler and Spin verdicts reach the census with no second run of
         # the kernel, so census6 names the mutants whose n = 6 census
-        # settle's closed-form check aborts, and None where it runs through
-        source = inspect.getsource(census_mod._bottom_up_walk)
+        # settle's closed-form check aborts, and None where it runs through.
+        # target is the function mutated: the walk, or the settle it calls
+        real = getattr(census_mod, target)
+        source = inspect.getsource(real)
         assert source.count(original) == 1
-        namespace = dict(vars(census_mod))
+        namespace = dict(vars(inspect.getmodule(real)))
         exec(source.replace(original, mutant), namespace)
-        monkeypatch.setattr(census_mod, "_bottom_up_walk", namespace["_bottom_up_walk"])
+        monkeypatch.setattr(census_mod, target, namespace[target])
         caught_by_twin = [n for n in range(1, 7) if not plain_walk_matches(n, full_walk_of(n))]
         caught_by_counts = [n for n in (2, 4, 6) if not kahler_twins_agree(n)]
         assert (caught_by_twin, caught_by_counts) == (twin, kahler_twins)
@@ -578,6 +645,10 @@ class TestKahlerCount:
         expected = [0, 1, 0, 6, 0, 192, 0, 28464]
         assert [kahler_count(n) for n in range(1, 9)] == expected
         assert [plain_census[n][0].kahler for n in range(1, 9)] == expected
+
+    def test_n10(self):
+        # the kahler column of census -n 10, which CI gates on this value
+        assert kahler_count(10) == 18_035_328
 
     def test_catches_a_count_of_every_value(self, plain_census):
         # a column that may take any of its 2^k values, odd ones included
@@ -656,38 +727,97 @@ class TestKahlerWalk:
         assert [len(namespace["kahler_walk"](n)[2]) for n in (2, 4, 6)] == [0, 5, 68]
 
 
+def settled_nodes(n):
+    """(rows, classes, leaves) of each settle call of the plain n census."""
+    nodes = []
+    real_settle = census_mod.settle
+
+    def recording(n, rows, classes, leaves):
+        nodes.append((tuple(rows), list(classes), list(leaves)))
+        return real_settle(n, rows, classes, leaves)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(census_mod, "settle", recording)
+        run_census(CensusConfig(n=n))
+    return nodes
+
+
+class TestSettleLemma:
+    """settle checks all Kahler completions of one set of rows 1..n-1 at
+    once, on the lemma that row 0 cannot change S_l for l >= 1.  Both are
+    checked here on every Kahler matrix up to n = 8, the walk's leaves,
+    against spin_kahler_closed_form with is_kahler's pairing."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_per_leaf_verdict_and_s_vector(self, n):
+        # settle's verdict on leaf u is Spin iff it reports no disagreement
+        # for (u, True); n = 8 has 28,464 leaves and takes about 1 s
+        leaves_seen = 0
+        for rows, classes, leaves in settled_nodes(n):
+            claims = [(u, True) for u, _ in leaves]
+            not_spin = {u for u, _ in census_mod.settle(n, rows, classes, claims)}
+            s_tails = set()
+            for u, _ in leaves:
+                a = BottMatrix._make(n, (u, *rows[1:]))
+                spin_cf, s_vector = spin_kahler_closed_form(a, is_kahler(a))
+                assert (u not in not_spin) == spin_cf, a.to_line()
+                s_tails.add(s_vector[1:])
+            assert len(s_tails) == 1, rows[1:]
+            leaves_seen += len(leaves)
+        assert leaves_seen == kahler_count(n)
+
+
 class TestDisagreementAbort:
     """A sabotaged route must abort the census at the smallest offending
     index, with its serialized reproducer.
 
     The plain census hands settle only the Kahler matrices, so sabotage
     on that path targets two Kahler n = 4 matrices, listed largest first:
-    full indices 40 and 30.  Both are Kahler, so both reach settle, which
-    takes the plain walk's leaves as the kernel takes the full walk's.
-    The bottom-up walk visits 40 before 30, so the reproducer must be the
-    smallest offender, not the first one found.
+    full indices 40 and 30.  Both are Kahler, so both reach settle as
+    leaves, which the plain walk takes as the kernel takes the full walk's
+    matrices.  The bottom-up walk meets 40 before 30, so the reproducer
+    must be the smallest offender, not the first one found.
     """
 
     bad = (5, 2)
     bad_orientable = (40, 30)
 
-    def sabotage(self, monkeypatch, wrap):
-        """Route settle and the kernel through wrap(real, n, rows, *state)
-        on the bad orientable matrices."""
-        bad_masks = {matrix_at(4, i).row_masks for i in self.bad_orientable}
-        assert all(not any(r.bit_count() & 1 for r in rows) for rows in bad_masks)
-        for name in ("settle", "bott_verdicts"):
-            real = getattr(census_mod, name)
+    def bad_masks(self):
+        masks = {matrix_at(4, i).row_masks for i in self.bad_orientable}
+        assert all(not any(r.bit_count() & 1 for r in rows) for rows in masks)
+        return masks
 
-            def sabotaged(n, rows, *state, real=real):
-                if tuple(rows) in bad_masks:
-                    return wrap(real, n, rows, *state)
-                return real(n, rows, *state)
+    def sabotage_kernel(self, monkeypatch, wrap):
+        """Route the kernel through wrap(real, n, rows) on the bad
+        orientable matrices."""
+        bad_masks = self.bad_masks()
+        real = census_mod.bott_verdicts
 
-            monkeypatch.setattr(census_mod, name, sabotaged)
+        def sabotaged(n, rows):
+            if tuple(rows) in bad_masks:
+                return wrap(real, n, rows)
+            return real(n, rows)
+
+        monkeypatch.setattr(census_mod, "bott_verdicts", sabotaged)
+
+    def inject(self, monkeypatch):
+        """The kernel raises on the bad orientable matrices, and settle
+        reports each of them among its leaves as a disagreement."""
+        self.sabotage_kernel(monkeypatch, self.injected)
+        bad_masks = self.bad_masks()
+        real = census_mod.settle
+
+        def sabotaged(n, rows, classes, leaves):
+            found = real(n, rows, classes, leaves)
+            for u, _ in leaves:
+                if (u, *rows[1:]) in bad_masks:
+                    found.append((u, "injected disagreement"))
+            return found
+
+        monkeypatch.setattr(census_mod, "settle", sabotaged)
 
     @staticmethod
-    def injected(real, n, rows, *state):
+    def injected(real, n, rows):
         raise InconsistencyError("injected disagreement")
 
     def assert_aborts_at(self, cfg, index, detail):
@@ -712,24 +842,25 @@ class TestDisagreementAbort:
         self.assert_aborts_at(CensusConfig(n=3, check_oracles=True), 2, "injected")
 
     def test_kernel_sabotage_on_plain_path(self, monkeypatch):
-        self.sabotage(monkeypatch, self.injected)
+        self.inject(monkeypatch)
         self.assert_aborts_at(CensusConfig(n=4), 30, "injected")
         # the full walk of --check-oracles names the same index
         self.assert_aborts_at(CensusConfig(n=4, check_oracles=True), 30, "injected")
 
     def test_smallest_offender_wins_in_any_visit_order(self, monkeypatch):
-        # a spy in front of the sabotage records the order settle sees the
-        # two offenders in: the larger index first.  The census still names
-        # the smaller one, with its matrix_at reproducer
-        self.sabotage(monkeypatch, self.injected)
+        # a spy in front of the sabotage records the order settle meets the
+        # two offenders in among its leaves: the larger index first.  The
+        # census still names the smaller one, with its matrix_at reproducer
+        self.inject(monkeypatch)
         order = []
         sabotaged = census_mod.settle
 
-        def spy(n, rows, *state):
-            index = census_mod._index_of(n, rows)
-            if index in self.bad_orientable:
-                order.append(index)
-            return sabotaged(n, rows, *state)
+        def spy(n, rows, classes, leaves):
+            for u, _ in leaves:
+                index = census_mod._index_of(n, (u, *rows[1:]))
+                if index in self.bad_orientable:
+                    order.append(index)
+            return sabotaged(n, rows, classes, leaves)
 
         monkeypatch.setattr(census_mod, "settle", spy)
         self.assert_aborts_at(CensusConfig(n=4), 30, "injected")
@@ -742,7 +873,7 @@ class TestDisagreementAbort:
         # plain census builds no pool at any CPU count
         monkeypatch.setattr(census_mod, "SHARE_BITS", 0)
         monkeypatch.setattr(census_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        self.sabotage(monkeypatch, self.injected)
+        self.inject(monkeypatch)
         self.assert_aborts_at(CensusConfig(n=4), 30, "injected")
         self.assert_aborts_at(CensusConfig(n=4, check_oracles=True), 30, "injected")
         assert pool_sizes == ([cpus] if cpus > 1 else [])
@@ -752,13 +883,11 @@ class TestDisagreementAbort:
         # it is, since that path counts with the walk's own verdicts and
         # settle only checks them; under check_oracles analyze disagrees
         # with the kernel
-        def flipped(real, n, rows, *state):
-            if state:  # settle: no verdict to flip
-                return real(n, rows, *state)
+        def flipped(real, n, rows):
             orientable, kahler, spin = real(n, rows)
             return orientable, kahler, not spin
 
-        self.sabotage(monkeypatch, flipped)
+        self.sabotage_kernel(monkeypatch, flipped)
         row, _ = run_census(CensusConfig(n=4))
         assert row.spin == 8  # the bad matrices are both Kahler and Spin
         self.assert_aborts_at(

@@ -423,7 +423,7 @@ class TestCensus:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["census", "-n", "10"],  # 18 million Kahler matrices to settle
+            ["census", "-n", "11"],  # 2^45 orientable matrices
             ["census", "-n", "9", "--check-oracles"],  # 2^36 matrices, full walk
         ],
     )
